@@ -9,10 +9,6 @@ which quotients bounded based loops by pointwise-adjacency homotopies.
 
 from dataclasses import dataclass
 
-import numpy
-import sympy
-from sympy.matrices.normalforms import smith_normal_form
-
 from ..localize import UnionFind
 from ..sset_core.enumerate import Check
 
@@ -119,6 +115,7 @@ def a1_bfs_oracle(G, v, max_loop_len=8, cap=200000):
     ``v`` (shorter loops embed by lazy steps); two loops are merged when
     pointwise adjacent.  Returns ``(count, cls)``.
     """
+    import numpy  # imported on use: loading it dominated every CLI start
     n = len(G.vertices)
     if max_loop_len > 10 or n > 8:
         raise ValueError("oracle bounds: loop length <= 10, graphs <= 8 vertices")
@@ -166,6 +163,8 @@ def a1_bfs_oracle(G, v, max_loop_len=8, cap=200000):
 
 def abelianization_rank(p):
     """(free rank, torsion coefficients) of the abelianized presentation."""
+    import sympy  # imported on use: loading it dominated every CLI start
+    from sympy.matrices.normalforms import smith_normal_form
     g = len(p.generators)
     if g == 0:
         return 0, []

@@ -88,25 +88,6 @@ def flip_iso(n, k, bound=3):
     return f
 
 
-def marked_isomorphic(ma, mb):
-    """Marking-reflecting isomorphism search between marked SSets."""
-    f = None
-    if [len(cs) for cs in ma.base.cells] != [len(cs) for cs in mb.base.cells]:
-        return None
-    for g in enumerate_maps(ma.base, mb.base):
-        images = {g.on_cell(c).cell for cs in ma.base.cells for c in cs
-                  if g.on_cell(c).nondegenerate}
-        if not all(g.on_cell(c).nondegenerate for cs in ma.base.cells for c in cs):
-            continue
-        if len(images) != sum(len(cs) for cs in ma.base.cells):
-            continue
-        if all((c in ma.marked) == (g.on_cell(c).cell in mb.marked)
-               for c in ma.base.cells[1]):
-            f = g
-            break
-    return f
-
-
 # -- right lifting property against shape inclusions ---------------------
 
 def has_rlp(mx, n, k, side="L", bound=3):
@@ -123,7 +104,7 @@ def has_rlp(mx, n, k, side="L", bound=3):
     ei = edge_ok_for(I)
     for f in enumerate_maps(J.base, mx.base, edge_ok=ej):
         ext = enumerate_maps(I.base, mx.base, partial=dict(f.assignment),
-                             edge_ok=ei)
+                             edge_ok=ei, limit=1)
         if not ext:
             return Check(False, {"n": n, "k": k, "side": side,
                                  "map": f.serialize()})

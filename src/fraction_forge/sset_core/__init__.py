@@ -13,7 +13,7 @@ from .ops import (
     surj_from_word,
     word_from_surj,
 )
-from .sset import Simplex, SMap, SSet, ssets_isomorphic
+from .sset import Simplex, SMap, SSet
 from .cat import FinCategory, Poset
 from .nerves import (
     boundary,
@@ -25,7 +25,7 @@ from .nerves import (
     standard_simplex,
 )
 from .build import empty_sset, from_levels, join, opposite_smap, opposite_sset, product, product_map
-from .enumerate import enumerate_maps, extensions, is_quasicategory_upto
+from .enumerate import enumerate_maps, extensions, find_isomorphism, is_quasicategory_upto
 from . import io
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "enumerate_maps",
     "epi_mono_factor",
     "extensions",
+    "find_isomorphism",
     "from_levels",
     "horn",
     "identity_op",
@@ -59,7 +60,6 @@ __all__ = [
     "sigma",
     "simplex_inclusion",
     "simplex_map",
-    "ssets_isomorphic",
     "standard_simplex",
     "surj_from_word",
     "word_from_surj",

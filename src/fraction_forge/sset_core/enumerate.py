@@ -1,8 +1,10 @@
 """Backtracking enumeration of simplicial maps and horn-filling checks."""
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .nerves import horn, simplex_inclusion, standard_simplex
+from .nerves import horn, standard_simplex
+from .ops import compose, delta
 from .sset import SMap
 
 
@@ -36,72 +38,115 @@ def _placement_order(A, preassigned):
     return order
 
 
-def enumerate_maps(A, X, partial=None, edge_ok=None):
-    """All simplicial maps ``A -> X``, in deterministic order.
+def _maps(A, X, partial, edge_ok):
+    """Assignments of the maps ``A -> X``, in enumeration order.
 
-    ``partial`` preassigns image simplices to some cells (their face
-    compatibility is enforced, not assumed).  ``edge_ok(cell, image)``
-    filters images of non-degenerate 1-cells (e.g. marking preservation).
+    Depth-first over ``_placement_order``.  A cell's candidates are the
+    bucket of ``X``'s face index under the images of its faces, so each
+    candidate already commutes with every face; buckets keep the order of
+    ``X.simplices(d)``.  Normal forms are memoized on ``X``.
     """
     if A.top_dim() > X.dim_bound:
         raise ValueError(
             f"domain has cells in dimension {A.top_dim()} above the "
             f"codomain dim bound {X.dim_bound}")
-    partial = dict(partial or {})
+    memo = X._nf_memo
+
+    def normal_form(cell, op):
+        s = memo.get((cell, op))
+        if s is None:
+            s = memo[cell, op] = X.apply_cell(cell, op)
+        return s
+
+    def faces_of(s):
+        n = s.dim
+        if n == 0:
+            return ()
+        return tuple(normal_form(s.cell, compose(s.op, delta(i, n)))
+                     for i in range(n + 1))
+
+    def bucket(d, want):
+        index = X._face_index.get(d)
+        if index is None:
+            index = X._face_index[d] = {}
+            for s in X.simplices(d):
+                index.setdefault(faces_of(s), []).append(s)
+        return index.get(want, ())
+
     order = _placement_order(A, partial)
-    by_dim = {}
-
-    def candidates(d):
-        if d not in by_dim:
-            by_dim[d] = X.simplices(d)
-        return by_dim[d]
-
-    asg = {}
-    out = []
-
-    def fits(c, d, s):
-        if d == 0:
-            return True
-        for i in range(d + 1):
-            fc = A.faces[c][i]
-            want_img = asg[fc.cell]
-            want = X.apply_cell(want_img.cell, _comp(want_img.op, fc.op))
-            if X.simplex_face(s, i) != want:
-                return False
-        if d == 1 and edge_ok is not None and not edge_ok(c, s):
-            return False
-        return True
-
-    def rec(k):
-        if k == len(order):
-            out.append(SMap(A, X, dict(asg)))
-            return
-        c = order[k]
+    steps = []
+    for c in order:
         d = A.dim_of(c)
+        steps.append((c, d, [(f.cell, f.op) for f in A.faces[c]] if d else []))
+    asg = {}
+
+    def candidates(k):
+        c, d, faces = steps[k]
+        want = []
+        for fc, fop in faces:
+            img = asg[fc]
+            want.append(normal_form(img.cell, compose(img.op, fop)))
+        want = tuple(want)
         if c in partial:
             s = partial[c]
-            if fits(c, d, s):
-                asg[c] = s
-                rec(k + 1)
-                del asg[c]
-            return
-        for s in candidates(d):
-            if fits(c, d, s):
-                asg[c] = s
-                rec(k + 1)
-                del asg[c]
+            cands = [s] if d == 0 or faces_of(s) == want else []
+        else:
+            cands = bucket(d, want)
+        if d == 1 and edge_ok is not None:
+            return (s for s in cands if edge_ok(c, s))
+        return iter(cands)
 
-    rec(0)
-    return out
+    if not steps:
+        yield {}
+        return
+    # iterative depth-first search: one candidate iterator per placed cell;
+    # entries of asg beyond k are stale but only ever overwritten
+    last = len(steps) - 1
+    its = [candidates(0)]
+    while its:
+        k = len(its) - 1
+        s = next(its[k], None)
+        if s is None:
+            its.pop()
+            continue
+        asg[steps[k][0]] = s
+        if k == last:
+            yield dict(asg)
+        else:
+            its.append(candidates(k + 1))
 
 
-def _comp(f, g):
-    return tuple(f[v] for v in g)
+def enumerate_maps(A, X, partial=None, edge_ok=None, limit=None):
+    """All simplicial maps ``A -> X``, in deterministic order.
+
+    ``partial`` preassigns image simplices to some cells (their face
+    compatibility is enforced, not assumed).  ``edge_ok(cell, image)``
+    filters images of non-degenerate 1-cells (e.g. marking preservation).
+    ``limit`` caps the number of maps returned (the first ones, in the
+    same order); existence checks pass ``limit=1``.
+    """
+    found = islice(_maps(A, X, dict(partial or {}), edge_ok), limit)
+    return [SMap(A, X, asg) for asg in found]
 
 
 def extensions(f, B, X, edge_ok=None):
     """Extensions to ``B`` of a map defined on a subcomplex of ``B``."""
     return enumerate_maps(B, X, partial=dict(f.assignment), edge_ok=edge_ok)
+
+
+def find_isomorphism(A, B):
+    """First isomorphism ``A -> B`` in enumeration order, or None.
+
+    An isomorphism sends the non-degenerate cells of ``A`` bijectively onto
+    those of ``B``.
+    """
+    if [len(cs) for cs in A.cells] != [len(cs) for cs in B.cells]:
+        return None
+    for asg in _maps(A, B, {}, None):
+        if all(s.nondegenerate for s in asg.values()) \
+                and len({s.cell for s in asg.values()}) == len(asg):
+            return SMap(A, B, asg)
+    return None
 
 
 @dataclass
@@ -125,6 +170,7 @@ def is_quasicategory_upto(X, bound):
         for k in range(1, n):
             H = horn(n, k, bound=X.dim_bound)
             for f in enumerate_maps(H, X):
-                if not extensions(f, D, X):
+                if not enumerate_maps(D, X, partial=dict(f.assignment),
+                                      limit=1):
                     return Check(False, {"n": n, "k": k, "horn_map": f.serialize()})
     return Check(True)

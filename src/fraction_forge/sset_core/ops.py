@@ -70,9 +70,7 @@ def surj_from_word(word, n):
         op.append(v)
         if i not in repeats:
             v += 1
-    op = tuple(x if x <= n - len(word) else n - len(word) for x in op)
-    # the loop above always ends with v == n - len(word) + 1; clamp is a no-op
-    return op
+    return tuple(op)
 
 
 def op_reverse(op, m):

@@ -49,6 +49,10 @@ class SSet:
                 if c in self._dim:
                     raise ValueError(f"duplicate cell name {c!r}")
                 self._dim[c] = d
+        # caches of the map-search engine (enumerate.py), filled on use;
+        # valid because an SSet is never mutated after construction
+        self._nf_memo = {}
+        self._face_index = {}
         if check:
             self.validate()
 
@@ -222,26 +226,8 @@ class SMap:
         return hash(self.serialize())
 
 
-def identity_smap(X):
-    asg = {c: Simplex(identity_op(d), c)
-           for d, cs in enumerate(X.cells) for c in cs}
-    return SMap(X, X, asg)
-
-
 def compose_smap(g, f):
     """Composite ``g . f`` of simplicial maps."""
     asg = {c: g(f.on_cell(c)) for c in f.assignment}
     return SMap(f.src, g.dst, asg)
 
-
-def ssets_isomorphic(A, B):
-    """Search for a cell-wise isomorphism; returns a dict or None."""
-    from .enumerate import enumerate_maps
-    if [len(cs) for cs in A.cells] != [len(cs) for cs in B.cells]:
-        return None
-    for f in enumerate_maps(A, B):
-        images = {s.cell for s in f.assignment.values() if s.nondegenerate}
-        if all(f.on_cell(c).nondegenerate for cs in A.cells for c in cs) \
-                and len(images) == len(f.assignment):
-            return f
-    return None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,21 @@ def test_repeat_runs_byte_identical(capsys):
     cli.main(list(args))
     two = capsys.readouterr().out
     assert one == two
+
+
+def test_corpus_run_identical_across_hash_seeds():
+    # set iteration order follows the hash seed; the output must not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "fraction_forge.cli", "corpus", "run"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            timeout=300))
+    assert [p.returncode for p in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith(b"{")
 
 
 # -- localize subcommands ------------------------------------------------

@@ -22,10 +22,10 @@ from fraction_forge.marked import (
 )
 from fraction_forge.sset_core import (
     boundary,
+    find_isomorphism,
     horn,
     is_quasicategory_upto,
     nerve_poset,
-    ssets_isomorphic,
     standard_simplex,
 )
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
@@ -87,7 +87,7 @@ def test_sd_map_preserves_marking():
 def test_sd_of_simplex_is_shape():
     for n in range(3):
         S = Sd_plus(standard_simplex(n))
-        assert ssets_isomorphic(S.base, sd_plus(n).base) is not None
+        assert find_isomorphism(S.base, sd_plus(n).base) is not None
         assert len(S.marked) == len(sd_plus(n).marked)
 
 

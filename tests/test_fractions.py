@@ -13,7 +13,6 @@ from fraction_forge.fractions import (
     coequalize_many,
     flip_iso,
     has_rlp,
-    marked_isomorphic,
     retract_check,
     shape,
     validate_sihd,

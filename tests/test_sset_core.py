@@ -4,6 +4,7 @@ from fraction_forge.sset_core import (
     boundary,
     enumerate_maps,
     extensions,
+    find_isomorphism,
     horn,
     io,
     is_quasicategory_upto,
@@ -13,7 +14,6 @@ from fraction_forge.sset_core import (
     opposite_sset,
     product,
     simplex_inclusion,
-    ssets_isomorphic,
     standard_simplex,
 )
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
@@ -64,7 +64,7 @@ def test_join_counts_and_simplex_identity():
     assert counts(J) == [2, 1]
     J2 = join(standard_simplex(1), standard_simplex(0), 2)
     assert counts(J2) == counts(standard_simplex(2))
-    assert ssets_isomorphic(J2, standard_simplex(2)) is not None
+    assert find_isomorphism(J2, standard_simplex(2)) is not None
     J3 = join(standard_simplex(1), standard_simplex(1), 3)
     assert counts(J3) == counts(standard_simplex(3))
 
@@ -81,7 +81,7 @@ def test_product_shuffles():
     # X × Δ0 ≅ X
     X = boundary(2)
     PX = product(X, standard_simplex(0), 2)
-    assert ssets_isomorphic(PX, X) is not None
+    assert find_isomorphism(PX, X) is not None
 
 
 def test_enumerate_maps_sd1_to_d1():
