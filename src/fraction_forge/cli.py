@@ -274,7 +274,10 @@ def cmd_graph_a1(args):
     digests = {args.input: _digest(args.input)}
     if args.base not in G.vertices:
         raise InputError(f"base vertex {args.base!r} not in the graph")
-    p = a1_presentation(G, args.base)
+    try:
+        p = a1_presentation(G, args.base)
+    except ValueError as e:  # a disconnected graph
+        raise InputError(f"{args.input}: {e}")
     rank, torsion = abelianization_rank(p)
     trivial = is_trivial_presentation(p)
     payload = {

@@ -46,19 +46,24 @@ class Graph:
 def graph_from_dict(d):
     """Parse {"vertices": [...], "edges": [[u, v], ...]}.
 
-    Loops are rejected as redundant (reflexivity is implicit); listing a
-    pair twice, in either order, is rejected as inconsistent input.
+    Vertices are strings or integers.  Loops are rejected as redundant
+    (reflexivity is implicit); listing a pair twice, in either order, is
+    rejected as inconsistent input.
     """
-    try:
-        vertices = tuple(d["vertices"])
-        raw = [tuple(e) for e in d["edges"]]
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed graph payload: {e}")
+    if (not isinstance(d, dict) or not isinstance(d.get("vertices"), list)
+            or not isinstance(d.get("edges"), list)):
+        raise ValueError('malformed graph payload: needs lists "vertices" '
+                         'and "edges"')
+    for x in d["vertices"]:
+        if not isinstance(x, (str, int)):
+            raise ValueError(f"vertex {x!r} is not a string or an integer")
+    vertices = tuple(d["vertices"])
     seen = set()
     edges = set()
-    for e in raw:
-        if len(e) != 2:
-            raise ValueError(f"edge {e!r} must have two endpoints")
+    for e in d["edges"]:
+        if (not isinstance(e, list) or len(e) != 2
+                or not all(isinstance(x, (str, int)) for x in e)):
+            raise ValueError(f"edge {e!r} must be a pair of vertices")
         u, v = e
         if u == v:
             raise ValueError(f"loop {e!r} is redundant (graphs are reflexive)")

@@ -9,7 +9,6 @@ which quotients bounded based loops by pointwise-adjacency homotopies.
 
 from dataclasses import dataclass
 
-from ..localize import UnionFind
 from ..sset_core.enumerate import Check
 
 
@@ -113,12 +112,13 @@ def a1_bfs_oracle(G, v, max_loop_len=8, cap=200000):
 
     Loops are walks of length exactly ``max_loop_len`` from ``v`` to
     ``v`` (shorter loops embed by lazy steps); two loops are merged when
-    pointwise adjacent.  Returns ``(count, cls)``.
+    pointwise adjacent.  Returns ``(count, cls)``; ``cls`` maps a loop to
+    the least member of its class under ``repr``.
     """
-    import numpy  # imported on use: loading it dominated every CLI start
     n = len(G.vertices)
     if max_loop_len > 10 or n > 8:
         raise ValueError("oracle bounds: loop length <= 10, graphs <= 8 vertices")
+    nbrs = {u: G.neighbors(u) for u in G.vertices}
     loops = []
     stack = [(v,)]
     while stack:
@@ -129,59 +129,95 @@ def a1_bfs_oracle(G, v, max_loop_len=8, cap=200000):
             if walk[-1] == v:
                 loops.append(walk)
             continue
-        for w in G.neighbors(walk[-1]):
+        for w in nbrs[walk[-1]]:
             stack.append(walk + (w,))
-    uf = UnionFind()
-    for l in loops:
-        uf.add(l)
-    loops_sorted = sorted(loops)
-    vi = {v: i for i, v in enumerate(G.vertices)}
-    A = numpy.zeros((n, n), dtype=bool)
-    for u in G.vertices:
-        for w in G.neighbors(u):
-            A[vi[u], vi[w]] = True
-    arr = numpy.array([[vi[x] for x in l] for l in loops_sorted],
-                      dtype=numpy.int16)
-    num_classes = len(loops_sorted)
-    for i, a in enumerate(loops_sorted):
-        if num_classes == 1:
-            break
-        ok = numpy.ones(len(arr), dtype=bool)
-        ok[:i + 1] = False
-        for k in range(arr.shape[1]):
-            ok &= A[arr[i, k], arr[:, k]]
-        for j in numpy.nonzero(ok)[0]:
-            b = loops_sorted[j]
-            if uf.find(a) != uf.find(b):
-                uf.union(a, b)
-                num_classes -= 1
-                if num_classes == 1:
-                    break
-    classes = {uf.find(l) for l in loops}
-    return len(classes), (lambda l: uf.find(l))
+    loops.sort(key=repr)
+    # near[k][u]: bitset of the loops whose k-th vertex is adjacent-or-equal
+    # to u (bit i stands for loops[i]); both ends are v on every loop
+    inner = range(1, max_loop_len)
+    near = []
+    for k in inner:
+        at = {u: bytearray(len(loops) // 8 + 1) for u in G.vertices}
+        for i, loop in enumerate(loops):
+            at[loop[k]][i >> 3] |= 1 << (i & 7)
+        at = {u: int.from_bytes(b, "little") for u, b in at.items()}
+        row = {}
+        for u in G.vertices:
+            row[u] = 0
+            for w in nbrs[u]:
+                row[u] |= at[w]
+        near.append(row)
+    # search each class from its least loop; a loop's unreached neighbours
+    # are the AND of its positions' rows with the unreached set
+    unreached = (1 << len(loops)) - 1
+    rep = {}
+    for i, first in enumerate(loops):
+        if first in rep:
+            continue
+        rep[first] = first
+        unreached ^= 1 << i
+        frontier = [first]
+        while frontier:
+            a = frontier.pop()
+            reach = unreached
+            for k, row in zip(inner, near):
+                reach &= row[a[k]]
+            unreached ^= reach
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                b = loops[low.bit_length() - 1]
+                rep[b] = first
+                frontier.append(b)
+    return len(set(rep.values())), rep.__getitem__
+
+
+def _invariant_factors(rows):
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix, the
+    diagonal of its Smith normal form, by unimodular row and column
+    operations (Kannan & Bachem, SIAM J. Comput. 8(4), 1979)."""
+    A = [list(r) for r in rows if any(r)]
+    factors = []
+    while A:
+        _, i, j = min((abs(x), i, j) for i, r in enumerate(A)
+                      for j, x in enumerate(r) if x)
+        top, p = A[i], A[i][j]
+        while True:
+            for r in A:  # column j modulo p, by row operations
+                q = r[j] // p
+                if q and r is not top:
+                    r[:] = [x - q * y for x, y in zip(r, top)]
+            for c in range(len(top)):  # row i modulo p, by column operations
+                q = top[c] // p
+                if q and c != j:
+                    for r in A:
+                        r[c] -= q * r[j]
+            if (any(r[j] for r in A if r is not top)
+                    or any(x for c, x in enumerate(top) if c != j)):
+                break  # a nonzero remainder is a smaller pivot
+            bad = next((r for r in A if any(x % p for x in r)), None)
+            if bad is None:
+                factors.append(abs(p))
+                A = [r[:j] + r[j + 1:] for r in A if r is not top]
+                A = [r for r in A if any(r)]
+                break
+            # p must divide every entry: pull a row it does not divide into
+            # the pivot's row, whose reduction then leaves a remainder
+            top[:] = [x + y for x, y in zip(top, bad)]
+    return factors
 
 
 def abelianization_rank(p):
     """(free rank, torsion coefficients) of the abelianized presentation."""
-    import sympy  # imported on use: loading it dominated every CLI start
-    from sympy.matrices.normalforms import smith_normal_form
     g = len(p.generators)
-    if g == 0:
-        return 0, []
-    if not p.relators:
-        return g, []
     rows = []
     for w in p.relators:
         row = [0] * g
         for gen, e in w:
             row[p.generators.index(gen)] += e
         rows.append(row)
-    M = smith_normal_form(sympy.Matrix(rows))
-    diag = [int(M[i, i]) for i in range(min(M.shape))]
-    nonzero = [abs(d) for d in diag if d != 0]
-    rank = g - len(nonzero)
-    torsion = [d for d in nonzero if d > 1]
-    return rank, torsion
+    factors = _invariant_factors(rows)
+    return g - len(factors), [d for d in factors if d > 1]
 
 
 def is_trivial_presentation(p):

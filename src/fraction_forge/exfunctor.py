@@ -11,7 +11,6 @@ subdivision shape.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .localize import UnionFind
 from .marked import (
     MarkedSSet,
     enumerate_marked_maps,
@@ -24,6 +23,7 @@ from .sset_core.enumerate import Check, enumerate_maps
 from .sset_core.nerves import nerve_map, nerve_poset
 from .sset_core.ops import delta, sigma
 from .sset_core.sset import SMap, Simplex, compose_smap, surjections
+from .sset_core.unionfind import UnionFind
 
 
 # -- subdivision shapes --------------------------------------------------

@@ -16,31 +16,7 @@ from .sset_core.enumerate import Check, enumerate_maps, is_quasicategory_upto
 from .sset_core.nerves import simplex_map, standard_simplex
 from .sset_core.ops import delta, identity_op, sigma
 from .sset_core.sset import SMap, Simplex, compose_smap
-
-
-class UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry, key=repr)] = min(rx, ry, key=repr)
-
-    def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+from .sset_core.unionfind import UnionFind
 
 
 # -- homotopy category of a truncated quasicategory ---------------------
@@ -484,9 +460,9 @@ class _CylinderTower:
         return pair_into_product(idX, cst, self.P[m])
 
 
-def _slice_levels(mx, x, bound, end, require_marked):
-    """Level data for (co)slice cylinders: maps Δᵐ×Δ¹ -> X constant at x
-    on Δᵐ×{end}, connecting edges marked if ``require_marked``."""
+def _slice_levels(mx, x, bound, require_marked):
+    """Level data for slice cylinders: maps Δᵐ×Δ¹ -> X constant at x
+    on Δᵐ×{0}, connecting edges marked if ``require_marked``."""
     X = mx.base
     tower = _CylinderTower(bound)
     levels = []
@@ -497,7 +473,7 @@ def _slice_levels(mx, x, bound, end, require_marked):
         for d, cs in enumerate(P.cells):
             for cell in cs:
                 _, op1, c1, op2, c2 = cell
-                if c2 == (end,):
+                if c2 == (0,):
                     partial[cell] = Simplex(tuple([0] * (d + 1)), x)
 
         def edge_ok(cell, image):
@@ -516,9 +492,9 @@ def _slice_levels(mx, x, bound, end, require_marked):
     return tower, levels, reg
 
 
-def _slice_sset(mx, x, bound, end, require_marked):
+def _slice_sset(mx, x, bound, require_marked):
     X = mx.base
-    tower, levels, reg = _slice_levels(mx, x, bound, end, require_marked)
+    tower, levels, reg = _slice_levels(mx, x, bound, require_marked)
 
     def face(d, s, i):
         f = reg[(d, s)]
@@ -536,14 +512,13 @@ def _slice_sset(mx, x, bound, end, require_marked):
 
     sset, cell_of = from_levels(levels, face, degen, bound,
                                 namer=lambda d, s: ("sl", d, s))
-    # marking: an edge is marked iff its top connecting restriction
-    # ((0,1) <= (1,1) for under-slices; the end-0 edge for over-slices)
+    # marking: an edge is marked iff its top connecting restriction, the
+    # edge (0,1) <= (1,1), is marked
     marked = set()
-    h = 1 - end
     for cell in sset.cells[1]:
         _, d, s = cell
         f = reg[(1, s)]
-        e = compose_smap(f, tower.end_inclusion(1, h))
+        e = compose_smap(f, tower.end_inclusion(1, 1))
         img = e.on_cell((0, 1))
         if mx.is_marked(img):
             marked.add(cell)
@@ -552,7 +527,7 @@ def _slice_sset(mx, x, bound, end, require_marked):
         for cell in cs:
             _, d, s = cell
             f = reg[(d, s)]
-            proj[cell] = compose_smap(f, tower.end_inclusion(d, h)) \
+            proj[cell] = compose_smap(f, tower.end_inclusion(d, 1)) \
                 .on_cell(tuple(range(d + 1)))
     return MarkedSSet(sset, marked), proj, (tower, levels, reg)
 
@@ -560,28 +535,15 @@ def _slice_sset(mx, x, bound, end, require_marked):
 def marked_slice_under(mx, x, bound=2):
     """Marked slice under a vertex: cylinder maps constant at x at end 0
     with marked connecting edges."""
-    ms, proj, _ = _slice_sset(mx, x, bound, end=0, require_marked=True)
-    return ms, proj
-
-
-def marked_slice_over(mx, x, bound=2):
-    """Marked slice over a vertex: constant at x at end 1."""
-    ms, proj, _ = _slice_sset(mx, x, bound, end=1, require_marked=True)
-    return ms, proj
-
-
-def fat_slice_under(mx, x, bound=2):
-    """Fat slice (no marking condition on connecting edges), marked by
-    the projection preimage of W."""
-    ms, proj, _ = _slice_sset(mx, x, bound, end=0, require_marked=False)
+    ms, proj, _ = _slice_sset(mx, x, bound, require_marked=True)
     return ms, proj
 
 
 def fraction_space_LF(mx, x, y, bound=1):
     """Space of left fractions from x to y: levelwise pullback of the
     fat slice under x against the marked slice under y over X."""
-    fx, projx, datax = _slice_sset(mx, x, bound, end=0, require_marked=False)
-    my, projy, datay = _slice_sset(mx, y, bound, end=0, require_marked=True)
+    fx, projx, datax = _slice_sset(mx, x, bound, require_marked=False)
+    my, projy, datay = _slice_sset(mx, y, bound, require_marked=True)
     towerx, levelsx, regx = datax
     towery, levelsy, regy = datay
 
@@ -778,23 +740,6 @@ def _vertex_level0(cache, x):
 
 
 # -- colimit preservation probe -----------------------------------------
-
-
-def _cocones(cat, legs_src):
-    """All cocones under the given objects: tuples of morphisms with a
-    common codomain, one from each source object."""
-    out = []
-    for z in cat.objects:
-        choices = [[m for m in cat.morphism_names()
-                    if cat.dom(m) == s and cat.cod(m) == z] for s in legs_src]
-        def rec(i, acc):
-            if i == len(choices):
-                out.append(tuple(acc))
-                return
-            for m in choices[i]:
-                rec(i + 1, acc + [m])
-        rec(0, [])
-    return out
 
 
 def colimit_preservation_probe(mc, diagram):

@@ -17,6 +17,10 @@ class FormatError(ValueError):
     """Raised for malformed input files; message pinpoints the offender."""
 
 
+def _strings(xs):
+    return all(isinstance(x, str) for x in xs)
+
+
 def stringify(name):
     """Canonical printable form of an internal cell name."""
     if isinstance(name, str):
@@ -78,6 +82,8 @@ def sset_from_dict(d, where="<input>"):
             if not isinstance(c, str):
                 fail(f"cell name {c!r} is not a string")
     dims = {c: i for i, cs in enumerate(cells) for c in cs}
+    if not isinstance(d["faces"], dict):
+        fail("faces must map cell names to face lists")
     faces = {}
     for c, fs in d["faces"].items():
         if c not in dims:
@@ -91,6 +97,9 @@ def sset_from_dict(d, where="<input>"):
                     or not isinstance(entry[1], str)):
                 fail(f"face {i} of {c!r} must be [word, cell]")
             word, tgt = entry
+            if not isinstance(word, list) or any(
+                    not isinstance(k, int) for k in word):
+                fail(f"face {i} of {c!r}: word must be a list of integers")
             if tgt not in dims:
                 fail(f"face {i} of {c!r} targets unknown cell {tgt!r}")
             try:
@@ -114,6 +123,8 @@ def sset_from_dict(d, where="<input>"):
 def marked_sset_from_dict(d, where="<input>"):
     X = sset_from_dict(d, where)
     marked = d.get("marked", [])
+    if not isinstance(marked, list) or not _strings(marked):
+        raise FormatError(f"{where}: marked must be a list of cell names")
     for c in marked:
         if not X.has_cell(c) or X.dim_of(c) != 1:
             raise FormatError(f"{where}: marked entry {c!r} is not a 1-cell")
@@ -143,18 +154,27 @@ def cat_from_dict(d, where="<input>"):
     for key in ("objects", "morphisms", "identities", "comp"):
         if key not in d:
             fail(f"missing key {key!r}")
+    if not isinstance(d["objects"], list) or not _strings(d["objects"]):
+        fail("objects must be a list of names")
+    for key in ("morphisms", "comp"):
+        if not isinstance(d[key], list):
+            fail(f"{key} must be a list")
     morphs = []
     for m in d["morphisms"]:
-        if not isinstance(m, dict) or set(m) - {"id", "dom", "cod"}:
-            fail(f"malformed morphism entry {m!r}")
+        if (not isinstance(m, dict) or set(m) != {"id", "dom", "cod"}
+                or not _strings(m.values())):
+            fail(f"malformed morphism entry {m!r}: needs string "
+                 f"\"id\", \"dom\" and \"cod\"")
         morphs.append(Morphism(m["id"], m["dom"], m["cod"]))
     comp = {}
     for entry in d["comp"]:
-        if not isinstance(entry, list) or len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3 or not _strings(entry):
             fail(f"malformed comp entry {entry!r}")
         g, f, h = entry
         comp[(g, f)] = h
     idents = d["identities"]
+    if not isinstance(idents, dict) or not _strings(idents.values()):
+        fail("identities must map objects to morphism names")
     names = {m.name: m for m in morphs}
     # identity composites may be omitted from the file; fill them in
     for m in morphs:
@@ -174,6 +194,8 @@ def cat_from_dict(d, where="<input>"):
 def marked_cat_from_dict(d, where="<input>"):
     C = cat_from_dict(d, where)
     marked = d.get("marked", [])
+    if not isinstance(marked, list) or not _strings(marked):
+        raise FormatError(f"{where}: marked must be a list of morphism names")
     for f in marked:
         if f not in C.morphisms:
             raise FormatError(f"{where}: marked entry {f!r} is not a morphism")

@@ -86,6 +86,54 @@ def test_flag_ceilings_exit_2(msset_file):
                      "--base", "0", "--oracle-bound", "99"]) == 2
 
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize("kind, argv, spoil", [
+    ("cat", ["fractions", "check"],
+     lambda d: d["morphisms"][0].pop("id")),
+    ("cat", ["fractions", "check"],
+     lambda d: d.update(identities=list(d["identities"].values()))),
+    ("cat", ["fractions", "check"],
+     lambda d: d["morphisms"][0].update(id=[d["morphisms"][0]["id"]])),
+    ("sset", ["localize", "ex"],
+     lambda d: d.update(faces=list(d["faces"].values()))),
+    ("graph", ["graph", "a1", "--base", "0"],
+     lambda d: d.update(vertices=[[v] for v in d["vertices"]])),
+    ("graph", ["graph", "a1", "--base", "0"],
+     lambda d: d.update(edges=d["edges"][:2])),
+], ids=["missing-id", "identities-list", "list-id", "faces-list",
+        "list-vertex", "disconnected-graph"])
+def test_malformed_input_exits_2_without_traceback(tmp_path, msset_file,
+                                                   kind, argv, spoil):
+    source = {"cat": cat_file("chain1_marked"), "sset": msset_file,
+              "graph": graph_file("cycle5")}[kind]
+    d = json.loads(Path(source).read_text())
+    spoil(d)
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(d))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fraction_forge.cli", *argv, "--input", str(path)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_graph_a1_loads_neither_numpy_nor_sympy():
+    code = ("import sys\n"
+            "from fraction_forge import cli\n"
+            f"code = cli.main(['graph', 'a1', '--input', {graph_file('cycle5')!r},"
+            " '--base', '0'])\n"
+            "print(code, sorted({'numpy', 'sympy'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 # -- determinism ---------------------------------------------------------
 
 def test_repeat_runs_byte_identical(capsys):
@@ -99,10 +147,9 @@ def test_repeat_runs_byte_identical(capsys):
 
 def test_corpus_run_identical_across_hash_seeds():
     # set iteration order follows the hash seed; the output must not
-    src = str(Path(cli.__file__).resolve().parents[1])
     runs = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
         runs.append(subprocess.run(
             [sys.executable, "-m", "fraction_forge.cli", "corpus", "run"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
