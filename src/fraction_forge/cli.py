@@ -9,7 +9,6 @@ input or flags.
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -111,23 +110,23 @@ def _load_marked_sset(path):
 
 
 def _load_graph(path):
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+    d = ffio.read_json(path)
     try:
         return graph_from_dict(d)
     except ValueError as e:
         raise InputError(f"{path}: {e}")
 
 
+def _presentation(path, G, base):
+    """The a1 presentation at ``base``; a disconnected graph is an input error."""
+    try:
+        return a1_presentation(G, base)
+    except ValueError as e:
+        raise InputError(f"{path}: {e}")
+
+
 def _load_graph_map(path):
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+    d = ffio.read_json(path)
     try:
         src = graph_from_dict(d["src"])
         dst = graph_from_dict(d["dst"])
@@ -274,10 +273,7 @@ def cmd_graph_a1(args):
     digests = {args.input: _digest(args.input)}
     if args.base not in G.vertices:
         raise InputError(f"base vertex {args.base!r} not in the graph")
-    try:
-        p = a1_presentation(G, args.base)
-    except ValueError as e:  # a disconnected graph
-        raise InputError(f"{args.input}: {e}")
+    p = _presentation(args.input, G, args.base)
     rank, torsion = abelianization_rank(p)
     trivial = is_trivial_presentation(p)
     payload = {
@@ -302,12 +298,7 @@ def cmd_graph_nerve_box(args):
     if not 1 <= args.window <= MAX_WINDOW:
         raise InputError(f"--window must be 1..{MAX_WINDOW}")
     G = _load_graph(args.input)
-    with open(args.box) as fh:
-        try:
-            box = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{args.box}: invalid JSON at line {e.lineno}: "
-                             f"{e.msg}")
+    box = ffio.read_json(args.box)
     digests = {args.input: _digest(args.input), args.box: _digest(args.box)}
     try:
         n = box["n"]
@@ -328,12 +319,7 @@ def cmd_graph_nerve_box(args):
 def cmd_graph_pullback_probe(args):
     f = _load_graph_map(args.f)
     g = _load_graph_map(args.g)
-    with open(args.vertex) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{args.vertex}: invalid JSON at line "
-                             f"{e.lineno}: {e.msg}")
+    spec = ffio.read_json(args.vertex)
     digests = {p: _digest(p) for p in (args.f, args.g, args.vertex)}
     try:
         base = (spec["x"], (spec["p"][0], tuple(spec["p"][1])),
@@ -410,8 +396,7 @@ def _corpus_cat_report(path):
                         failures.append(f"fraction duality differs at "
                                         f"({x!r},{y!r})")
 
-    with open(path) as fh:
-        expect = json.load(fh).get("expect", {})
+    expect = ffio.read_json(path).get("expect", {})
     for key, want in sorted(expect.items()):
         if report.get(key) != want:
             failures.append(f"expected {key}={want!r}, got "
@@ -423,8 +408,10 @@ def _corpus_cat_report(path):
 
 def _corpus_graph_report(path):
     G = _load_graph(path)
+    if not G.vertices:
+        raise InputError(f"{path}: graph has no vertices")
     base = G.vertices[0]
-    p = a1_presentation(G, base)
+    p = _presentation(path, G, base)
     rank, torsion = abelianization_rank(p)
     report = {
         "a1_rank": rank,
@@ -432,8 +419,7 @@ def _corpus_graph_report(path):
         "a1_trivial": bool(is_trivial_presentation(p)),
     }
     failures = []
-    with open(path) as fh:
-        expect = json.load(fh).get("expect", {})
+    expect = ffio.read_json(path).get("expect", {})
     for key, want in sorted(expect.items()):
         if key == "oracle_classes":
             count, _ = a1_bfs_oracle(G, base,

@@ -5,7 +5,7 @@ reflexive loops are implicit and never stored.  Maps may collapse edges
 (adjacent-or-equal images).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from ..sset_core.enumerate import Check

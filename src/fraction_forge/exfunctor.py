@@ -9,18 +9,17 @@ subdivision shape.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .marked import (
     MarkedSSet,
     enumerate_marked_maps,
     maximal_marking,
     opposite_marked,
+    subset_nerve,
 )
 from .sset_core.build import from_levels
-from .sset_core.cat import Poset
 from .sset_core.enumerate import Check, enumerate_maps
-from .sset_core.nerves import nerve_map, nerve_poset
+from .sset_core.nerves import nerve_map
 from .sset_core.ops import delta, sigma
 from .sset_core.sset import SMap, Simplex, compose_smap, surjections
 from .sset_core.unionfind import UnionFind
@@ -28,40 +27,18 @@ from .sset_core.unionfind import UnionFind
 
 # -- subdivision shapes --------------------------------------------------
 
-_SD_CACHE = {}
-
-
-def _subsets(n):
-    return [frozenset(c) for r in range(1, n + 2)
-            for c in combinations(range(n + 1), r)]
-
-
 def sd_plus(n):
     """Marked subdivision of the n-simplex (max-preserving marking)."""
     if n > 3:
         raise ValueError("subdivision shapes truncated at n <= 3")
-    key = (n, "L")
-    if key not in _SD_CACHE:
-        poset = Poset.from_leq(_subsets(n), lambda a, b: a <= b)
-        N = nerve_poset(poset, n)
-        marked = ({c for c in N.cells[1] if max(c[0]) == max(c[1])}
-                  if n >= 1 else set())
-        _SD_CACHE[key] = MarkedSSet(N, marked)
-    return _SD_CACHE[key]
+    return subset_nerve(n, "L")
 
 
 def sd_op(n):
     """Reverse-ordered subdivision of the n-simplex (min marking)."""
     if n > 3:
         raise ValueError("subdivision shapes truncated at n <= 3")
-    key = (n, "R")
-    if key not in _SD_CACHE:
-        poset = Poset.from_leq(_subsets(n), lambda a, b: b <= a)
-        N = nerve_poset(poset, n)
-        marked = ({c for c in N.cells[1] if min(c[0]) == min(c[1])}
-                  if n >= 1 else set())
-        _SD_CACHE[key] = MarkedSSet(N, marked)
-    return _SD_CACHE[key]
+    return subset_nerve(n, "R")
 
 
 def sd_map(phi, m, n, side="L"):
@@ -243,6 +220,22 @@ def ex_to_sset(cache):
 
 # -- unit maps -----------------------------------------------------------
 
+def _unit(X, cache):
+    """A d-cell u of ``X`` goes to the level-d map  chain -> u . max."""
+    out = {}
+    for d in range(cache.bound + 1):
+        shape = sd_plus(d).base
+        out[d] = {}
+        for u in X.cells[d]:
+            asg = {chain: X.apply_cell(u, tuple(max(A) for A in chain))
+                   for cs in shape.cells for chain in cs}
+            s = SMap(shape, X, asg).serialize()
+            if s not in cache.maps:
+                raise AssertionError("unit image missing from the level")
+            out[d][u] = s
+    return out
+
+
 def max_star(mx, cache):
     """The unit: a d-cell u goes to the level-d map  chain -> u . max.
 
@@ -252,45 +245,14 @@ def max_star(mx, cache):
     """
     if cache.side != "L":
         raise ValueError("max_star applies to left-handed caches")
-    out = {}
-    for d in range(cache.bound + 1):
-        shape = sd_plus(d)
-        out[d] = {}
-        for u in cache.input.base.cells[d]:
-            asg = {}
-            for p, cs in enumerate(shape.base.cells):
-                for chain in cs:
-                    op = tuple(max(A) for A in chain)
-                    asg[chain] = cache.input.base.apply_cell(u, op)
-            f = SMap(shape.base, cache.input.base, asg)
-            s = f.serialize()
-            if s not in cache.maps:
-                raise AssertionError("unit image missing from the level")
-            out[d][u] = s
-    return out
+    return _unit(cache.input.base, cache)
 
 
 def min_star(mx, cache):
     """The dual unit for right-handed caches, via min on reversed chains."""
     if cache.side != "R":
         raise ValueError("min_star applies to right-handed caches")
-    opposed = opposite_marked(mx)
-    out = {}
-    for d in range(cache.bound + 1):
-        shape = sd_plus(d)
-        out[d] = {}
-        for u in opposed.base.cells[d]:
-            asg = {}
-            for p, cs in enumerate(shape.base.cells):
-                for chain in cs:
-                    op = tuple(max(A) for A in chain)
-                    asg[chain] = opposed.base.apply_cell(u, op)
-            f = SMap(shape.base, opposed.base, asg)
-            s = f.serialize()
-            if s not in cache.maps:
-                raise AssertionError("unit image missing from the level")
-            out[d][u] = s
-    return out
+    return _unit(opposite_marked(mx).base, cache)
 
 
 # -- comparison with the classical Ex ------------------------------------

@@ -6,9 +6,7 @@ Shapes L/R-I^n_k are nerves of posets of subsets of [n] containing k
 max-equal (resp. min-equal) rule; the J variant omits the vertex [n].
 """
 
-from itertools import combinations
-
-from .marked import MarkedSSet, is_weakly_closed, opposite_marked
+from .marked import MarkedSSet, effective_marking, is_weakly_closed, subset_nerve
 from .sset_core.build import opposite_sset
 from .sset_core.cat import Poset
 from .sset_core.enumerate import Check, enumerate_maps
@@ -19,25 +17,11 @@ from .sset_core.sset import SMap, Simplex
 
 # -- shapes --------------------------------------------------------------
 
-_SHAPE_CACHE = {}
-
 L_SHAPES = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 R_SHAPES = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
-SUFFICIENT_L = [(2, 1), (2, 2), (3, 1)]
-SUFFICIENT_R = [(2, 1), (2, 0), (3, 2)]
 
 
-def _subsets_containing(n, k):
-    out = []
-    universe = list(range(n + 1))
-    for r in range(1, n + 2):
-        for comb in combinations(universe, r):
-            if k in comb:
-                out.append(frozenset(comb))
-    return out
-
-
-def shape(n, k, side="L", variant="I", bound=3):
+def shape(n, k, side="L", variant="I"):
     """The marked fraction shape (L/R)-(I/J)^n_k as a MarkedSSet."""
     if n < 1 or not (0 <= k <= n):
         raise ValueError(f"shape parameters out of range: n={n}, k={k}")
@@ -45,34 +29,18 @@ def shape(n, k, side="L", variant="I", bound=3):
         raise ValueError("shapes truncated at n <= 3")
     if side not in ("L", "R") or variant not in ("I", "J"):
         raise ValueError(f"unknown side/variant {side}/{variant}")
-    key = (n, k, side, variant, bound)
-    if key in _SHAPE_CACHE:
-        return _SHAPE_CACHE[key]
-    elems = _subsets_containing(n, k)
-    full = frozenset(range(n + 1))
-    if variant == "J":
-        elems = [A for A in elems if A != full]
-    if side == "L":
-        poset = Poset.from_leq(elems, lambda a, b: a <= b)
-        rule = max
-    else:
-        poset = Poset.from_leq(elems, lambda a, b: b <= a)
-        rule = min
-    N = nerve_poset(poset, bound)
-    marked = {c for c in N.cells[1] if rule(c[0]) == rule(c[1])}
-    res = MarkedSSet(N, marked)
-    _SHAPE_CACHE[key] = res
-    return res
+    omit = (frozenset(range(n + 1)),) if variant == "J" else ()
+    return subset_nerve(n, side, containing=k, omit=omit)
 
 
-def flip_iso(n, k, bound=3):
+def flip_iso(n, k):
     """Isomorphism (L-I^n_k)^op -> R-I^n_{n-k} induced by i -> n - i.
 
     Returns the SMap between the opposite of the L shape and the R shape
     (chains reversed, subsets flipped).
     """
-    L = shape(n, k, "L", "I", bound)
-    R = shape(n, n - k, "R", "I", bound)
+    L = shape(n, k, "L", "I")
+    R = shape(n, n - k, "R", "I")
     Lop = opposite_sset(L.base)
 
     def flip(A):
@@ -90,10 +58,10 @@ def flip_iso(n, k, bound=3):
 
 # -- right lifting property against shape inclusions ---------------------
 
-def has_rlp(mx, n, k, side="L", bound=3):
+def has_rlp(mx, n, k, side="L"):
     """RLP of (X, W) against (J -> I)^n_k; witness = unextendable map."""
-    J = shape(n, k, side, "J", bound)
-    I = shape(n, k, side, "I", bound)
+    J = shape(n, k, side, "J")
+    I = shape(n, k, side, "I")
 
     def edge_ok_for(target):
         def edge_ok(cell, image):
@@ -113,14 +81,10 @@ def has_rlp(mx, n, k, side="L", bound=3):
 
 # -- classical calculus of fractions ------------------------------------
 
-def _w_eff(mc):
-    return set(mc.marked) | {mc.cat.ident(x) for x in mc.cat.objects}
-
-
 def check_clf_classical(mc):
     """Conditions (1)-(3) of the classical calculus of left fractions."""
     C = mc.cat
-    W = _w_eff(mc)
+    W = effective_marking(mc)
     # (1) closure under composition (identities are implicit)
     for w in sorted(W):
         for v in sorted(W):
@@ -152,7 +116,7 @@ def check_clf_classical(mc):
 def _completions(mc, f, w):
     """Squares (f', w') with f'.w = w'.f and w' marked, for a span (f, w)."""
     C = mc.cat
-    W = _w_eff(mc)
+    W = effective_marking(mc)
     out = []
     for fp in sorted(C.morphism_names()):
         if C.dom(fp) != C.cod(w):
@@ -171,7 +135,7 @@ def check_proper_clf(mc):
     if not base.ok:
         return base
     C = mc.cat
-    W = _w_eff(mc)
+    W = effective_marking(mc)
     for f in sorted(W):
         for w in sorted(W):
             if C.dom(w) != C.dom(f):
@@ -191,7 +155,7 @@ def check_proper_crf(mc):
 
 # -- infinity-categorical calculus of fractions -------------------------
 
-def check_clf_infty(mx, side="L", shapes=None, is_nerve=False, bound=3):
+def check_clf_infty(mx, side="L", shapes=None, is_nerve=False):
     """Weak closure plus RLP against the fraction-shape inclusions.
 
     For nerves of categories the n <= 3 shape set decides CLF; for other
@@ -206,7 +170,7 @@ def check_clf_infty(mx, side="L", shapes=None, is_nerve=False, bound=3):
     shapes = shapes if shapes is not None else (
         L_SHAPES if side == "L" else R_SHAPES)
     for (n, k) in shapes:
-        res = has_rlp(mx, n, k, side, bound=bound)
+        res = has_rlp(mx, n, k, side)
         report["shapes_checked"].append([n, k, res.ok])
         if not res.ok:
             report["witness"] = res.witness
@@ -229,7 +193,7 @@ def coequalize_many(mc, pairs):
     built by induction.  Returns Check with witness {"u": name}.
     """
     C = mc.cat
-    W = _w_eff(mc)
+    W = effective_marking(mc)
     if not pairs:
         raise ValueError("need at least one pair")
     y = C.cod(pairs[0][0])
@@ -370,13 +334,8 @@ def build_sihd_jk(n, k):
         raise ValueError("need 0 < k <= n <= 4")
     full = frozenset(range(n + 1))
     facet = full - {k}
-    elems = [frozenset(c) for r in range(1, n + 2)
-             for c in combinations(range(n + 1), r)]
-    poset = Poset.from_leq([A for A in elems if A != facet],
-                           lambda a, b: a < b or a == b)
-    N = nerve_poset(poset, n)
-    marked = {c for c in N.cells[1] if max(c[0]) == max(c[1])}
-    ambient = MarkedSSet(N, marked)
+    ambient = subset_nerve(n, omit=(facet,))
+    N = ambient.base
 
     def in_J(chain):
         if all(A not in (full, facet) for A in chain):
@@ -424,9 +383,7 @@ def build_sihd_prodjoin(P_marked, Q):
 
     big = Poset.from_leq(elems, leq)
     # longest chains: alternating chains of P-chains with a level step + cone
-    bound = 0
-    longest = _longest_chain(poset)
-    bound = longest + 2  # one level flip plus the cone point
+    bound = _longest_chain(poset) + 2  # one level flip plus the cone point
     N = nerve_poset(big, bound)
     marked = set()
     for c in N.cells[1]:
@@ -496,17 +453,13 @@ def retract_check(kind, n, k):
             raise ValueError("need 0 <= k <= n <= 3")
         full = frozenset(range(n + 1))
         facet = full - {k}
-        elems = [frozenset(c) for r in range(1, n + 2)
-                 for c in combinations(range(n + 1), r)]
-        sd = Poset.from_leq(elems, lambda a, b: a <= b)
-        Nsd = nerve_poset(sd, min(n, 3))
-        msd = MarkedSSet(Nsd, {c for c in Nsd.cells[1]
-                               if max(c[0]) == max(c[1])})
+        msd = subset_nerve(n)
+        Nsd = msd.base
         horn_cells = {c for cs in Nsd.cells for c in cs
                       if all(A not in (full, facet) for A in c)}
         NH = sub_sset(Nsd, lambda c: c in horn_cells)
-        I = shape(n, k, "L", "I", bound=3)
-        J = shape(n, k, "L", "J", bound=3)
+        I = shape(n, k, "L", "I")
+        J = shape(n, k, "L", "J")
         # section: shapes are chain nerves over a sub-poset of sd
         # retraction r(A) = A ∪ {k}
         r_full = nerve_map(lambda A: A | {k}, Nsd, I.base)
@@ -534,18 +487,10 @@ def retract_check(kind, n, k):
             raise ValueError("need 0 <= k < n <= 3")
         full = frozenset(range(n + 1))
         facet = full - {k}
-        elems = [frozenset(c) for r in range(1, n + 2)
-                 for c in combinations(range(n + 1), r)]
-        sd = Poset.from_leq(elems, lambda a, b: a <= b)
-        Nsd = nerve_poset(sd, min(n, 3))
-        msd = MarkedSSet(Nsd, {c for c in Nsd.cells[1]
-                               if max(c[0]) == max(c[1])})
-        kp = Poset.from_leq([A for A in elems if A != facet],
-                            lambda a, b: a <= b)
-        NK = nerve_poset(kp, min(n, 3))
-        mk = MarkedSSet(NK, {c for c in NK.cells[1]
-                             if max(c[0]) == max(c[1])})
-        r = nerve_map(lambda A: full if A == facet else A, Nsd, NK)
+        msd = subset_nerve(n)
+        mk = subset_nerve(n, omit=(facet,))
+        NK = mk.base
+        r = nerve_map(lambda A: full if A == facet else A, msd.base, NK)
         r.validate()
         for c in msd.base.cells[1]:
             if c in msd.marked and not mk.is_marked(r.on_cell(c)):
@@ -559,10 +504,10 @@ def retract_check(kind, n, k):
     if kind == "k-eq-n-redundant":
         if not (1 <= n <= 2):
             raise ValueError("need 1 <= n <= 2 (level n+1 shape must fit in n <= 3)")
-        Jlow = shape(n, n, "L", "J", bound=3)
-        Ilow = shape(n, n, "L", "I", bound=3)
-        Jhigh = shape(n + 1, n, "L", "J", bound=3)
-        Ihigh = shape(n + 1, n, "L", "I", bound=3)
+        Jlow = shape(n, n, "L", "J")
+        Ilow = shape(n, n, "L", "I")
+        Jhigh = shape(n + 1, n, "L", "J")
+        Ihigh = shape(n + 1, n, "L", "I")
 
         def sec(A):
             return frozenset(A) | {n + 1}

@@ -4,18 +4,15 @@ formula, marked slices and fraction mapping spaces, filteredness checks,
 and the three-way localization comparison.
 """
 
-from .marked import MarkedCategory, MarkedSSet
-from .sset_core.build import (
-    from_levels,
-    pair_into_product,
-    product,
-    product_map,
-)
+from .exfunctor import ex_plus, ex_to_sset, max_star
+from .fractions import check_clf_classical, check_proper_clf
+from .marked import MarkedSSet, effective_marking, nerve_marked, opposite_marked
+from .sset_core.build import end_inclusion, from_levels, product, product_map
 from .sset_core.cat import FinCategory, Morphism
 from .sset_core.enumerate import Check, enumerate_maps, is_quasicategory_upto
-from .sset_core.nerves import simplex_map, standard_simplex
-from .sset_core.ops import delta, identity_op, sigma
-from .sset_core.sset import SMap, Simplex, compose_smap
+from .sset_core.nerves import simplex_inclusion, simplex_map, standard_simplex
+from .sset_core.ops import delta, sigma
+from .sset_core.sset import Simplex, compose_smap
 from .sset_core.unionfind import UnionFind
 
 
@@ -82,6 +79,20 @@ def ho_of_qcat(X, check_qcat=True):
     return cat, (lambda s: name_of[s])
 
 
+def natural_marking(X, qcat_bound=2):
+    """Mark a quasicategory at its Ho-invertible edges.
+
+    Raises if inner-horn filling fails up to ``qcat_bound`` — the
+    invertibility criterion is only meaningful for quasicategories.
+    """
+    res = is_quasicategory_upto(X, min(qcat_bound, X.dim_bound))
+    if not res.ok:
+        raise ValueError(f"natural marking needs a quasicategory; witness {res.witness}")
+    ho, cls = ho_of_qcat(X)
+    marked = {c for c in X.cells[1] if ho.is_iso(cls(Simplex((0, 1), c)))}
+    return MarkedSSet(X, marked)
+
+
 def ho_well_defined_check(X):
     """Exhaustive check that 2-cell witnesses give a single composite."""
     try:
@@ -94,10 +105,6 @@ def ho_well_defined_check(X):
 # -- Gabriel-Zisman fractions -------------------------------------------
 
 
-def _w_eff(mc):
-    return set(mc.marked) | {mc.cat.ident(x) for x in mc.cat.objects}
-
-
 def gz_left_fractions(mc, completion_order="forward", exhaustive=False):
     """Category of left fractions C W^{-1} with its canonical functor.
 
@@ -105,12 +112,11 @@ def gz_left_fractions(mc, completion_order="forward", exhaustive=False):
     ``(f, w)`` to its class name and ``canonical`` mapping a morphism of
     C to the class of ``(f, id)``.  Requires classical CLF.
     """
-    from .fractions import check_clf_classical
     res = check_clf_classical(mc)
     if not res.ok:
         raise ValueError(f"left fractions need CLF; witness {res.witness}")
     C = mc.cat
-    W = _w_eff(mc)
+    W = effective_marking(mc)
     names = sorted(C.morphism_names())
     if completion_order == "reverse":
         names = names[::-1]
@@ -220,7 +226,7 @@ def gz_right_fractions(mc, **kw):
 
 def localization_inverts(mc, cat, info):
     """Every marked morphism becomes invertible in the fraction category."""
-    for w in _w_eff(mc):
+    for w in effective_marking(mc):
         if not cat.is_iso(info["canonical"](w)):
             return Check(False, {"marked": w})
     return Check(True)
@@ -236,7 +242,7 @@ def zigzag_oracle(mc, x, y, max_len=6):
     classes of words from x to y.
     """
     C = mc.cat
-    W = _w_eff(mc)
+    W = effective_marking(mc)
 
     def src(step):
         d, m = step
@@ -309,12 +315,11 @@ def hom_via_colimit(mc, x, y):
     Returns ``(classes, cls)`` where elements are pairs ``(w, f)`` with
     ``w: y -> y'`` marked and ``f: x -> y'``, modulo the span relation.
     """
-    from .fractions import check_clf_classical
     res = check_clf_classical(mc)
     if not res.ok:
         raise ValueError(f"colimit formula needs CLF; witness {res.witness}")
     C = mc.cat
-    W = _w_eff(mc)
+    W = effective_marking(mc)
     elems = []
     for w in sorted(W):
         if C.dom(w) != y:
@@ -344,7 +349,7 @@ def colimit_vs_gz(mc, x, y, gz=None):
     classes, cls = hom_via_colimit(mc, x, y)
     # map each colimit class to the gz class of the same cospan
     C = mc.cat
-    W = _w_eff(mc)
+    W = effective_marking(mc)
     assign = {}
     for w in sorted(W):
         if C.dom(w) != y:
@@ -392,7 +397,7 @@ def marked_coslice_category(mc, x):
     """1-categorical marked coslice at x: objects are marked arrows out
     of x, morphisms are commuting triangles."""
     C = mc.cat
-    W = _w_eff(mc)
+    W = effective_marking(mc)
     objs = sorted(w for w in W if C.dom(w) == x)
     morphs = []
     comp = {}
@@ -432,9 +437,7 @@ class _CylinderTower:
         self.D1 = standard_simplex(1, bound=bound + 1)
         self.simp = [standard_simplex(m, bound=max(m, 1)) for m in range(bound + 1)]
         self.P = [product(self.simp[m], self.D1, m + 1) for m in range(bound + 1)]
-        self.id_d1 = SMap(self.D1, self.D1, {
-            c: Simplex(identity_op(d), c)
-            for d, cs in enumerate(self.D1.cells) for c in cs})
+        self.id_d1 = simplex_inclusion(self.D1, self.D1)
         self.face_maps = {}
         self.degen_maps = {}
         for m in range(1, bound + 1):
@@ -452,12 +455,7 @@ class _CylinderTower:
 
     def end_inclusion(self, m, eps):
         """Δᵐ -> Δᵐ × Δ¹ at height eps."""
-        X = self.simp[m]
-        idX = SMap(X, X, {c: Simplex(identity_op(d), c)
-                          for d, cs in enumerate(X.cells) for c in cs})
-        cst = SMap(X, self.D1, {c: Simplex(tuple([0] * (d + 1)), (eps,))
-                                for d, cs in enumerate(X.cells) for c in cs})
-        return pair_into_product(idX, cst, self.P[m])
+        return end_inclusion(self.simp[m], self.D1, self.P[m], eps)
 
 
 def _slice_levels(mx, x, bound, require_marked):
@@ -590,7 +588,6 @@ def fraction_space_LF(mx, x, y, bound=1):
 
 def fraction_space_RF(mx, x, y, bound=1):
     """Space of right fractions, via the opposite marked simplicial set."""
-    from .marked import opposite_marked
     return fraction_space_LF(opposite_marked(mx), x, y, bound=bound)
 
 
@@ -607,8 +604,6 @@ def pi0(X):
 
 def pi0_mapping_check(mc, x, y, gz=None, bound=3):
     """pi0 of the fraction space vs gz hom classes, as a bijection."""
-    from .marked import nerve_marked
-    from .fractions import check_proper_clf
     res = check_proper_clf(mc)
     if not res.ok:
         raise ValueError(f"needs proper CLF; witness {res.witness}")
@@ -653,12 +648,9 @@ def _edge_of_vertex_cylinder(serialized):
 
 def compare_localizations(mc, bound=3):
     """Ho(Ex₊(N C, W)) vs gz_left_fractions(C): isomorphism report."""
-    from .fractions import check_proper_clf
-    from .exfunctor import ex_plus, ex_to_sset, max_star
     res = check_proper_clf(mc)
     if not res.ok:
         raise ValueError(f"comparison needs proper CLF; witness {res.witness}")
-    from .marked import nerve_marked
     gz_cat, gz_info = gz_left_fractions(mc)
     mN = nerve_marked(mc, bound=bound)
     cache = ex_plus(mN, levels=2)
@@ -750,7 +742,6 @@ def colimit_preservation_probe(mc, diagram):
     is found by universal-property enumeration; its image cocone in the
     fraction category is then checked to be colimiting.
     """
-    from .fractions import check_proper_clf
     res = check_proper_clf(mc)
     if not res.ok:
         raise ValueError(f"probe needs proper CLF; witness {res.witness}")

@@ -7,12 +7,13 @@ filter.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .sset_core.build import opposite_sset, pair_into_product, product
-from .sset_core.enumerate import Check, enumerate_maps, is_quasicategory_upto
-from .sset_core.nerves import nerve_category, standard_simplex, sub_sset
-from .sset_core.sset import SMap, Simplex
-from .sset_core.ops import identity_op
+from .sset_core.build import end_inclusion, opposite_sset, product
+from .sset_core.cat import Poset
+from .sset_core.enumerate import Check, enumerate_maps
+from .sset_core.nerves import nerve_category, nerve_poset, standard_simplex, sub_sset
+from .sset_core.sset import Simplex
 
 
 @dataclass
@@ -61,6 +62,11 @@ class MarkedCategory:
         return MarkedCategory(self.cat.opposite(), set(self.marked))
 
 
+def effective_marking(mc):
+    """The marked morphisms of a marked category, identities included."""
+    return set(mc.marked) | {mc.cat.ident(x) for x in mc.cat.objects}
+
+
 def nerve_marked(mc, bound=3):
     """Marked nerve of a marked category (identity marks are implicit)."""
     N = nerve_category(mc.cat, bound)
@@ -82,21 +88,6 @@ def iso_marking(mc_or_cat):
     return MarkedCategory(cat, {f for f in cat.morphism_names() if cat.is_iso(f)})
 
 
-def natural_marking(X, qcat_bound=2):
-    """Mark a quasicategory at its Ho-invertible edges.
-
-    Raises if inner-horn filling fails up to ``qcat_bound`` — the
-    invertibility criterion is only meaningful for quasicategories.
-    """
-    res = is_quasicategory_upto(X, min(qcat_bound, X.dim_bound))
-    if not res.ok:
-        raise ValueError(f"natural marking needs a quasicategory; witness {res.witness}")
-    from .localize import ho_of_qcat
-    ho, cls = ho_of_qcat(X)
-    marked = {c for c in X.cells[1] if ho.is_iso(cls(Simplex((0, 1), c)))}
-    return MarkedSSet(X, marked)
-
-
 def marked_core(mx):
     """Largest subcomplex all of whose edges are marked."""
     keep = set(mx.base.cells[0])
@@ -106,6 +97,38 @@ def marked_core(mx):
                 keep.add(c)
     core = sub_sset(mx.base, lambda c: c in keep)
     return MarkedSSet(core, {c for c in core.cells[1] if c in mx.marked})
+
+
+# -- subset-poset nerves ------------------------------------------------
+
+_SUBSET_NERVES = {}
+
+
+def subset_nerve(n, side="L", containing=None, omit=()):
+    """Marked nerve of the non-empty subsets of [n], cached.
+
+    Keeps the subsets containing ``containing`` (all if None) and drops
+    those in ``omit``; they are listed by size, then in ``combinations``
+    order.  Side "L" orders them by inclusion and marks the edges whose
+    ends share their max; side "R" by reverse inclusion, marking shared
+    mins.  Fraction shapes, the subdivisions sd₊Δⁿ and Kⁿ_k are all of
+    this form.
+    """
+    omit = frozenset(omit)
+    key = (n, side, containing, omit)
+    if key not in _SUBSET_NERVES:
+        elems = [A for r in range(1, n + 2)
+                 for A in map(frozenset, combinations(range(n + 1), r))
+                 if (containing is None or containing in A) and A not in omit]
+        if side == "L":
+            poset, rule = Poset.from_leq(elems, lambda a, b: a <= b), max
+        else:
+            poset, rule = Poset.from_leq(elems, lambda a, b: b <= a), min
+        N = nerve_poset(poset, n)
+        marked = {c for cs in N.cells[1:2] for c in cs
+                  if rule(c[0]) == rule(c[1])}
+        _SUBSET_NERVES[key] = MarkedSSet(N, marked)
+    return _SUBSET_NERVES[key]
 
 
 # -- closure properties --------------------------------------------------
@@ -161,7 +184,7 @@ def is_two_out_of_three(mx):
 def cat_is_two_out_of_three(mc):
     """2-out-of-3 for a marked category (identities counted marked)."""
     cat = mc.cat
-    marked = set(mc.marked) | {cat.ident(x) for x in cat.objects}
+    marked = effective_marking(mc)
     for g in cat.morphism_names():
         for f in cat.morphism_names():
             if cat.dom(g) != cat.cod(f):
@@ -205,15 +228,7 @@ def cylinder(mx, bound=None):
         if len(set(op1)) == 1 or c1 in mx.marked:
             marked.add(cell)
     mp = MarkedSSet(P, marked)
-
-    def end(eps):
-        idX = SMap(X, X, {c: Simplex(identity_op(d), c)
-                          for d, cs in enumerate(X.cells) for c in cs})
-        cst = SMap(X, D1, {c: Simplex(tuple([0] * (d + 1)), (eps,))
-                           for d, cs in enumerate(X.cells) for c in cs})
-        return pair_into_product(idX, cst, P)
-
-    return mp, end(0), end(1)
+    return mp, end_inclusion(X, D1, P, 0), end_inclusion(X, D1, P, 1)
 
 
 def is_marked_homotopy(H, mx, my):

@@ -1,6 +1,7 @@
 """Constructions on simplicial sets: joins, products, opposites, and
 extraction of an SSet from abstract level data via EZ normal forms."""
 
+from .nerves import simplex_inclusion
 from .ops import compose, delta, identity_op, op_reverse
 from .sset import Simplex, SMap, SSet, surjections
 
@@ -154,6 +155,13 @@ def pair_into_product(f, g, P):
         for cell in cs:
             asg[cell] = _pair_normalize(f.on_cell(cell), g.on_cell(cell))
     return SMap(f.src, P, asg)
+
+
+def end_inclusion(X, D1, P, eps):
+    """The end ``X -> X x Δ¹`` at height ``eps``, into ``P = product(X, D1)``."""
+    cst = SMap(X, D1, {c: Simplex(tuple([0] * (d + 1)), (eps,))
+                       for d, cs in enumerate(X.cells) for c in cs})
+    return pair_into_product(simplex_inclusion(X, X), cst, P)
 
 
 # -- opposites -----------------------------------------------------------

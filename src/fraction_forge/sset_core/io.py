@@ -202,13 +202,18 @@ def marked_cat_from_dict(d, where="<input>"):
     return C, set(marked)
 
 
-def load(path, kind):
-    """Load and validate a JSON file of the given kind."""
+def read_json(path):
+    """Decode a JSON file; malformed JSON raises ``FormatError``."""
     with open(path) as fh:
         try:
-            d = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+
+
+def load(path, kind):
+    """Load and validate a JSON file of the given kind."""
+    d = read_json(path)
     loaders = {
         "sset": sset_from_dict,
         "marked_sset": marked_sset_from_dict,

@@ -80,25 +80,30 @@ def simplex_inclusion(A, X):
     return SMap(A, X, asg)
 
 
+def _chain_image(vs, B):
+    """Normal form in the poset nerve ``B`` of a monotone vertex sequence:
+    the chain of its distinct runs, with the surjection onto them."""
+    chain = []
+    op = []
+    for v in vs:
+        if not chain or chain[-1] != v:
+            chain.append(v)
+        op.append(len(chain) - 1)
+    chain = tuple(chain)
+    if not B.has_cell(chain):
+        raise ValueError(f"image chain {chain!r} is not a cell of the codomain")
+    return Simplex(tuple(op), chain)
+
+
 def nerve_map(vertex_map, A, B):
     """Simplicial map of poset nerves induced by a monotone vertex map.
 
     Chain cells of ``A`` are sent to the normal form of their image chain.
     """
     asg = {}
-    for d, cs in enumerate(A.cells):
+    for cs in A.cells:
         for chain in cs:
-            vs = [vertex_map(v) for v in chain]
-            dedup = []
-            op = []
-            for v in vs:
-                if not dedup or dedup[-1] != v:
-                    dedup.append(v)
-                op.append(len(dedup) - 1)
-            cell = tuple(dedup)
-            if not B.has_cell(cell):
-                raise ValueError(f"image chain {cell!r} is not a cell of the codomain")
-            asg[chain] = Simplex(tuple(op), cell)
+            asg[chain] = _chain_image([vertex_map(v) for v in chain], B)
     return SMap(A, B, asg)
 
 
@@ -171,18 +176,8 @@ def map_to_nerve(src, dst, vertex_image):
     asg = {}
     for d, cs in enumerate(src.cells):
         for c in cs:
-            vs = [vertex_image(src.apply_cell(c, (i,)).cell)
-                  for i in range(d + 1)]
-            dedup = []
-            op = []
-            for v in vs:
-                if not dedup or dedup[-1] != v:
-                    dedup.append(v)
-                op.append(len(dedup) - 1)
-            chain = tuple(x[0] for x in dedup)
-            if not dst.has_cell(chain):
-                raise ValueError(f"image chain {chain!r} is not a cell of the codomain")
-            asg[c] = Simplex(tuple(op), chain)
+            asg[c] = _chain_image([vertex_image(src.apply_cell(c, (i,)).cell)[0]
+                                   for i in range(d + 1)], dst)
     f = SMap(src, dst, asg)
     f.validate()
     return f

@@ -155,8 +155,8 @@ def test_criterion_5_retract_suite():
         assert retract_check("J-in-SdHorn", n, k), (n, k)
     for n, k in [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]:
         assert retract_check("Knk-in-Sd", n, k), (n, k)
-    # the k = n redundancy uses the level-(n+1) shape, so the engine's
-    # dimension bound of 3 caps it at n = 2
+    # the k = n redundancy uses the level-(n+1) shape, so the n <= 3
+    # guard of ``shape`` caps it at n = 2
     for n in (1, 2):
         assert retract_check("k-eq-n-redundant", n, n), n
     budget(start, 10, "retract suite")

@@ -102,18 +102,29 @@ SRC = str(Path(cli.__file__).resolve().parents[1])
      lambda d: d.update(vertices=[[v] for v in d["vertices"]])),
     ("graph", ["graph", "a1", "--base", "0"],
      lambda d: d.update(edges=d["edges"][:2])),
+    ("graph", ["corpus", "run"],
+     lambda d: d.update(vertices=[], edges=[])),
+    ("graph", ["corpus", "run"],
+     lambda d: d.update(edges=d["edges"][:2])),
 ], ids=["missing-id", "identities-list", "list-id", "faces-list",
-        "list-vertex", "disconnected-graph"])
+        "list-vertex", "disconnected-graph", "corpus-empty-graph",
+        "corpus-disconnected-graph"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, msset_file,
                                                    kind, argv, spoil):
     source = {"cat": cat_file("chain1_marked"), "sset": msset_file,
               "graph": graph_file("cycle5")}[kind]
     d = json.loads(Path(source).read_text())
     spoil(d)
-    path = tmp_path / "spoiled.json"
+    if argv[0] == "corpus":  # a corpus directory holding the one graph
+        path = tmp_path / "graphs" / "spoiled.json"
+        path.parent.mkdir()
+        argv = [*argv, "--path", str(tmp_path)]
+    else:
+        path = tmp_path / "spoiled.json"
+        argv = [*argv, "--input", str(path)]
     path.write_text(json.dumps(d))
     proc = subprocess.run(
-        [sys.executable, "-m", "fraction_forge.cli", *argv, "--input", str(path)],
+        [sys.executable, "-m", "fraction_forge.cli", *argv],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 2, proc.stderr

@@ -173,7 +173,8 @@ def test_clf_infty_partial_label():
 
 # -- simple inner horn decompositions -----------------------------------
 
-@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 1), (3, 2),
+                                 (4, 1), (4, 2), (4, 3), (4, 4)])
 def test_sihd_jk(n, k):
     ambient, image, decomposition = build_sihd_jk(n, k)
     res = validate_sihd(ambient, image, decomposition)

@@ -1,5 +1,6 @@
 import pytest
 
+from fraction_forge.localize import natural_marking
 from fraction_forge.marked import (
     MarkedCategory,
     MarkedSSet,
@@ -14,7 +15,6 @@ from fraction_forge.marked import (
     marked_core,
     maximal_marking,
     minimal_marking,
-    natural_marking,
     nerve_marked,
     opposite_marked,
     smap_is_marked,
