@@ -99,6 +99,17 @@ def _emit(verdict):
     return 0 if verdict["ok"] else 1
 
 
+def _fraction_condition(mc, side):
+    """Classical CLF (side L) or CRF (side R) of a marked category."""
+    return (check_crf_classical if side == "R" else check_clf_classical)(mc)
+
+
+def _unmet(command, res, digests, **payload):
+    """Exit-1 verdict for an input lacking the condition ``res`` checked."""
+    return _emit(_verdict(command, False, digests, witnesses=[res.witness],
+                          **payload))
+
+
 def _load_marked_cat(path):
     C, marked = ffio.load(path, "marked_cat")
     return MarkedCategory(C, marked)
@@ -163,6 +174,10 @@ def cmd_fractions_lift(args):
     mx = _load_marked_sset(args.input)
     digests = {args.input: _digest(args.input)}
     shapes = L_SHAPES if args.side == "L" else R_SHAPES
+    need = max(n for n, _ in shapes)
+    if mx.base.dim_bound < need:
+        raise InputError(f"{args.input}: lifting needs dim_bound >= {need}, "
+                         f"got {mx.base.dim_bound}")
     report = []
     ok = True
     for n, k in shapes:
@@ -205,6 +220,9 @@ def export_dot(cat, marked=(), edge_label=None):
 def cmd_localize_gz(args):
     mc = _load_marked_cat(args.input)
     digests = {args.input: _digest(args.input)}
+    res = _fraction_condition(mc, args.side)
+    if not res.ok:
+        return _unmet("localize gz", res, digests, side=args.side)
     if args.side == "L":
         cat, info = gz_left_fractions(mc)
     else:
@@ -223,6 +241,9 @@ def cmd_localize_ex(args):
     if not 1 <= args.levels <= MAX_LEVELS:
         raise InputError(f"--levels must be between 1 and {MAX_LEVELS}")
     mx = _load_marked_sset(args.input)
+    if mx.base.dim_bound < args.levels:
+        raise InputError(f"{args.input}: --levels {args.levels} needs "
+                         f"dim_bound >= {args.levels}, got {mx.base.dim_bound}")
     digests = {args.input: _digest(args.input)}
     cache = (ex_plus if args.side == "L" else ex_op)(mx, levels=args.levels)
     if args.emit_sset:
@@ -237,6 +258,9 @@ def cmd_localize_ex(args):
 def cmd_localize_compare(args):
     mc = _load_marked_cat(args.input)
     digests = {args.input: _digest(args.input)}
+    res = check_proper_clf(mc)
+    if not res.ok:
+        return _unmet("localize compare", res, digests, iso=False)
     res = compare_localizations(mc)
     return _emit(_verdict("localize compare", res.ok, digests,
                           iso=res.ok, hom_table=res.witness["hom_table"],
@@ -246,6 +270,9 @@ def cmd_localize_compare(args):
 def cmd_mapspace(args):
     mc = _load_marked_cat(args.input)
     digests = {args.input: _digest(args.input)}
+    res = _fraction_condition(mc, args.side)
+    if not res.ok:
+        return _unmet("mapspace", res, digests, side=args.side)
     mN = nerve_marked(mc, 3)
     space = fraction_space_LF if args.side == "L" else fraction_space_RF
     gz = (gz_left_fractions(mc) if args.side == "L"
@@ -551,7 +578,7 @@ def main(argv=None):
     start = time.monotonic()
     try:
         code = args.fn(args)
-    except (InputError, ffio.FormatError, FileNotFoundError) as e:
+    except (InputError, ffio.FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     print(f"done in {time.monotonic() - start:.2f}s", file=sys.stderr)

@@ -10,6 +10,7 @@ Exhausting a window never proves a negative.
 from itertools import product as iproduct
 
 from ..sset_core.enumerate import Check
+from .graphs import identity_map
 
 
 class LazyGraph:
@@ -240,7 +241,6 @@ def pullback_square_probe(f, g, base_vertex, radius=1, window=2):
 def double_path_identity_probe(G, base_vertex, radius=1, window=2):
     """The double mapping path space of the identity is the path graph:
     compare neighborhoods over a ball through (k, x, p) -> p."""
-    from .graphs import identity_map
     DP = double_mapping_path_lazy(identity_map(G), window)
     PG = path_graph_lazy(G, window)
     for v in DP.ball(base_vertex, radius):

@@ -8,11 +8,11 @@ the Ex functor is the set of marked maps out of the corresponding
 subdivision shape.
 """
 
-from dataclasses import dataclass, field
-
 from .marked import (
+    LevelMaps,
     MarkedSSet,
     enumerate_marked_maps,
+    level_maps,
     maximal_marking,
     opposite_marked,
     subset_nerve,
@@ -120,29 +120,6 @@ def Sd_plus(X):
 
 # -- truncated Ex levels -------------------------------------------------
 
-@dataclass
-class ExLevelCache:
-    """Levels of the truncated marked Ex functor of a marked SSet.
-
-    ``levels[d]`` lists serialized marked maps out of the d-th
-    subdivision shape; face and degeneracy act by precomposition with
-    the cosimplicial structure maps.
-    """
-    input: MarkedSSet
-    side: str
-    bound: int
-    levels: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    face_tbl: dict = field(default_factory=dict)
-    degen_tbl: dict = field(default_factory=dict)
-
-    def face(self, d, serial, i):
-        return self.face_tbl[(d, i)][serial]
-
-    def degen(self, d, serial, i):
-        return self.degen_tbl[(d, i)][serial]
-
-
 def ex_plus(mx, levels=2):
     """Marked maps out of the subdivision shapes, with operator actions."""
     if levels > 3:
@@ -150,31 +127,12 @@ def ex_plus(mx, levels=2):
     if mx.base.dim_bound < levels:
         raise ValueError(
             f"level-{levels} answers need dimension bound >= {levels}")
-    cache = ExLevelCache(input=mx, side="L", bound=levels)
-    for d in range(levels + 1):
-        fs = enumerate_marked_maps(sd_plus(d), mx)
-        serials = sorted(f.serialize() for f in fs)
-        cache.levels[d] = serials
-        for f in fs:
-            cache.maps[f.serialize()] = f
-    for d in range(1, levels + 1):
-        for i in range(d + 1):
-            structural = sd_map(delta(i, d), d - 1, d)
-            tbl = {}
-            for s in cache.levels[d]:
-                tbl[s] = compose_smap(cache.maps[s], structural).serialize()
-                if tbl[s] not in cache.maps:
-                    raise AssertionError("face of a level element missing")
-            cache.face_tbl[(d, i)] = tbl
-    for d in range(levels):
-        for i in range(d + 1):
-            structural = sd_map(sigma(i, d), d + 1, d)
-            tbl = {}
-            for s in cache.levels[d]:
-                tbl[s] = compose_smap(cache.maps[s], structural).serialize()
-                if tbl[s] not in cache.maps:
-                    raise AssertionError("degeneracy of a level element missing")
-            cache.degen_tbl[(d, i)] = tbl
+    cache = level_maps(mx, [sd_plus(d) for d in range(levels + 1)],
+                       lambda d, i: sd_map(delta(i, d), d - 1, d),
+                       lambda d, i: sd_map(sigma(i, d), d + 1, d))
+    cache.side = "L"
+    for lvl in cache.levels.values():
+        lvl.sort()
     return cache
 
 
@@ -185,8 +143,8 @@ def ex_op(mx, levels=2):
     marked SSet, with face and degeneracy indices reversed.
     """
     inner = ex_plus(opposite_marked(mx), levels=levels)
-    cache = ExLevelCache(input=mx, side="R", bound=levels,
-                         levels=dict(inner.levels), maps=dict(inner.maps))
+    cache = LevelMaps(input=mx, bound=levels, levels=dict(inner.levels),
+                      maps=dict(inner.maps), side="R")
     for d in range(1, levels + 1):
         for i in range(d + 1):
             cache.face_tbl[(d, i)] = inner.face_tbl[(d, d - i)]
@@ -236,7 +194,7 @@ def _unit(X, cache):
     return out
 
 
-def max_star(mx, cache):
+def max_star(cache):
     """The unit: a d-cell u goes to the level-d map  chain -> u . max.
 
     Returns {d: {cell: serial}} on the cached levels.  Marked edges land
@@ -248,11 +206,11 @@ def max_star(mx, cache):
     return _unit(cache.input.base, cache)
 
 
-def min_star(mx, cache):
+def min_star(cache):
     """The dual unit for right-handed caches, via min on reversed chains."""
     if cache.side != "R":
         raise ValueError("min_star applies to right-handed caches")
-    return _unit(opposite_marked(mx).base, cache)
+    return _unit(opposite_marked(cache.input).base, cache)
 
 
 # -- comparison with the classical Ex ------------------------------------

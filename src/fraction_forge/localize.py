@@ -6,13 +6,22 @@ and the three-way localization comparison.
 
 from .exfunctor import ex_plus, ex_to_sset, max_star
 from .fractions import check_clf_classical, check_proper_clf
-from .marked import MarkedSSet, effective_marking, nerve_marked, opposite_marked
-from .sset_core.build import end_inclusion, from_levels, product, product_map
+from .marked import (
+    MarkedSSet,
+    cylinder,
+    effective_marking,
+    level_maps,
+    maximal_marking,
+    minimal_marking,
+    nerve_marked,
+    opposite_marked,
+)
+from .sset_core.build import from_levels, product_map
 from .sset_core.cat import FinCategory, Morphism
-from .sset_core.enumerate import Check, enumerate_maps, is_quasicategory_upto
+from .sset_core.enumerate import Check, is_quasicategory_upto
 from .sset_core.nerves import simplex_inclusion, simplex_map, standard_simplex
 from .sset_core.ops import delta, sigma
-from .sset_core.sset import Simplex, compose_smap
+from .sset_core.sset import Simplex
 from .sset_core.unionfind import UnionFind
 
 
@@ -429,166 +438,71 @@ def slice_filtered_check(mc, x):
 # -- marked slices and fraction spaces (simplicial) ----------------------
 
 
-class _CylinderTower:
-    """Products Δᵐ × Δ¹ for m ≤ bound with face/degeneracy connecting maps."""
+def _slice(mx, x, bound):
+    """Levels of the slice under the vertex x: marked maps
+    Δᵐ×(Δ¹)♯ -> (X, W) constant at x on Δᵐ×{0}, for m <= bound.
 
-    def __init__(self, bound):
-        self.bound = bound
-        self.D1 = standard_simplex(1, bound=bound + 1)
-        self.simp = [standard_simplex(m, bound=max(m, 1)) for m in range(bound + 1)]
-        self.P = [product(self.simp[m], self.D1, m + 1) for m in range(bound + 1)]
-        self.id_d1 = simplex_inclusion(self.D1, self.D1)
-        self.face_maps = {}
-        self.degen_maps = {}
-        for m in range(1, bound + 1):
-            for i in range(m + 1):
-                fm = simplex_map(delta(i, m), m - 1, m,
-                                 src=self.simp[m - 1], dst=self.simp[m])
-                self.face_maps[(m, i)] = product_map(
-                    fm, self.id_d1, self.P[m - 1], self.P[m])
-        for m in range(bound):
-            for i in range(m + 1):
-                dm = simplex_map(sigma(i, m), m + 1, m,
-                                 src=self.simp[m + 1], dst=self.simp[m])
-                self.degen_maps[(m, i)] = product_map(
-                    dm, self.id_d1, self.P[m + 1], self.P[m])
+    Returns the levels and ``end``, which takes a serial to the image of
+    Δᵐ×{1}, the projection to X.
+    """
+    cyls = [cylinder(minimal_marking(standard_simplex(m, bound=m + 1)))
+            for m in range(bound + 1)]
+    shapes = [P for P, _, _ in cyls]
+    D1 = standard_simplex(1)
+    id_d1 = simplex_inclusion(D1, D1)
 
-    def end_inclusion(self, m, eps):
-        """Δᵐ -> Δᵐ × Δ¹ at height eps."""
-        return end_inclusion(self.simp[m], self.D1, self.P[m], eps)
+    def structure(phi, m, n):
+        return product_map(simplex_map(phi, m, n), id_d1,
+                           shapes[m].base, shapes[n].base)
 
-
-def _slice_levels(mx, x, bound, require_marked):
-    """Level data for slice cylinders: maps Δᵐ×Δ¹ -> X constant at x
-    on Δᵐ×{0}, connecting edges marked if ``require_marked``."""
-    X = mx.base
-    tower = _CylinderTower(bound)
-    levels = []
-    reg = {}
-    for m in range(bound + 1):
-        P = tower.P[m]
-        partial = {}
-        for d, cs in enumerate(P.cells):
-            for cell in cs:
-                _, op1, c1, op2, c2 = cell
-                if c2 == (0,):
-                    partial[cell] = Simplex(tuple([0] * (d + 1)), x)
-
-        def edge_ok(cell, image):
-            _, op1, c1, op2, c2 = cell
-            vertical = len(set(op1)) == 1 and c2 == (0, 1)
-            if vertical and require_marked:
-                return mx.is_marked(image)
-            return True
-
-        lvl = []
-        for f in enumerate_maps(P, X, partial=partial, edge_ok=edge_ok):
-            s = f.serialize()
-            reg[(m, s)] = f
-            lvl.append(s)
-        levels.append(lvl)
-    return tower, levels, reg
-
-
-def _slice_sset(mx, x, bound, require_marked):
-    X = mx.base
-    tower, levels, reg = _slice_levels(mx, x, bound, require_marked)
-
-    def face(d, s, i):
-        f = reg[(d, s)]
-        g = compose_smap(f, tower.face_maps[(d, i)])
-        t = g.serialize()
-        reg[(d - 1, t)] = g
-        return t
-
-    def degen(d, s, i):
-        f = reg[(d, s)]
-        g = compose_smap(f, tower.degen_maps[(d, i)])
-        t = g.serialize()
-        reg[(d + 1, t)] = g
-        return t
-
-    sset, cell_of = from_levels(levels, face, degen, bound,
-                                namer=lambda d, s: ("sl", d, s))
-    # marking: an edge is marked iff its top connecting restriction, the
-    # edge (0,1) <= (1,1), is marked
-    marked = set()
-    for cell in sset.cells[1]:
-        _, d, s = cell
-        f = reg[(1, s)]
-        e = compose_smap(f, tower.end_inclusion(1, 1))
-        img = e.on_cell((0, 1))
-        if mx.is_marked(img):
-            marked.add(cell)
-    proj = {}
-    for dd, cs in enumerate(sset.cells):
-        for cell in cs:
-            _, d, s = cell
-            f = reg[(d, s)]
-            proj[cell] = compose_smap(f, tower.end_inclusion(d, 1)) \
-                .on_cell(tuple(range(d + 1)))
-    return MarkedSSet(sset, marked), proj, (tower, levels, reg)
+    partial = [{cell: Simplex((0,) * (d + 1), x)
+                for d, cs in enumerate(P.base.cells) for cell in cs
+                if cell[4] == (0,)} for P in shapes]
+    lm = level_maps(mx, shapes,
+                    lambda d, i: structure(delta(i, d), d - 1, d),
+                    lambda d, i: structure(sigma(i, d), d + 1, d),
+                    partial=partial)
+    end = {s: lm.maps[s](i1.on_cell(tuple(range(m + 1))))
+           for m, (_, _, i1) in enumerate(cyls) for s in lm.levels[m]}
+    return lm, end
 
 
 def marked_slice_under(mx, x, bound=2):
     """Marked slice under a vertex: cylinder maps constant at x at end 0
-    with marked connecting edges."""
-    ms, proj, _ = _slice_sset(mx, x, bound, require_marked=True)
-    return ms, proj
+    with marked connecting edges; an edge is marked iff its projection
+    is.  Returns the marked SSet and the projection of each cell."""
+    lm, end = _slice(mx, x, bound)
+    sset, _ = from_levels([lm.levels[d] for d in range(bound + 1)],
+                          lm.face, lm.degen, bound,
+                          namer=lambda d, s: ("sl", d, s))
+    marked = {cell for cell in sset.cells[1] if mx.is_marked(end[cell[2]])}
+    proj = {cell: end[cell[2]] for cs in sset.cells for cell in cs}
+    return MarkedSSet(sset, marked), proj
 
 
 def fraction_space_LF(mx, x, y, bound=1):
     """Space of left fractions from x to y: levelwise pullback of the
-    fat slice under x against the marked slice under y over X."""
-    fx, projx, datax = _slice_sset(mx, x, bound, require_marked=False)
-    my, projy, datay = _slice_sset(mx, y, bound, require_marked=True)
-    towerx, levelsx, regx = datax
-    towery, levelsy, regy = datay
-
-    def pi(reg, tower, d, s):
-        return compose_smap(reg[(d, s)], tower.end_inclusion(d, 1)) \
-            .on_cell(tuple(range(d + 1)))
-
-    levels = []
-    for d in range(bound + 1):
-        lvl = []
-        for sx in levelsx[d]:
-            for sy in levelsy[d]:
-                if pi(regx, towerx, d, sx) == pi(regy, towery, d, sy):
-                    lvl.append((sx, sy))
-        levels.append(lvl)
-
-    def face(d, e, i):
-        sx, sy = e
-        gx = compose_smap(regx[(d, sx)], towerx.face_maps[(d, i)])
-        gy = compose_smap(regy[(d, sy)], towery.face_maps[(d, i)])
-        tx, ty = gx.serialize(), gy.serialize()
-        regx[(d - 1, tx)] = gx
-        regy[(d - 1, ty)] = gy
-        return (tx, ty)
-
-    def degen(d, e, i):
-        sx, sy = e
-        gx = compose_smap(regx[(d, sx)], towerx.degen_maps[(d, i)])
-        gy = compose_smap(regy[(d, sy)], towery.degen_maps[(d, i)])
-        tx, ty = gx.serialize(), gy.serialize()
-        regx[(d + 1, tx)] = gx
-        regy[(d + 1, ty)] = gy
-        return (tx, ty)
-
-    sset, _ = from_levels(levels, face, degen, bound,
-                          namer=lambda d, e: ("lf", d, e))
-    marked = set()
-    for cell in sset.cells[1]:
-        _, d, (sx, sy) = cell
-        if mx.is_marked(pi(regx, towerx, 1, sx)):
-            marked.add(cell)
+    fat slice under x against the marked slice under y over X.  The fat
+    slice is the slice of the maximal marking: its connecting edges may
+    be any edges."""
+    fat, endx = _slice(maximal_marking(mx.base), x, bound)
+    sl, endy = _slice(mx, y, bound)
+    levels = [[(sx, sy) for sx in fat.levels[d] for sy in sl.levels[d]
+               if endx[sx] == endy[sy]] for d in range(bound + 1)]
+    sset, _ = from_levels(
+        levels,
+        lambda d, e, i: (fat.face(d, e[0], i), sl.face(d, e[1], i)),
+        lambda d, e, i: (fat.degen(d, e[0], i), sl.degen(d, e[1], i)),
+        bound, namer=lambda d, e: ("lf", d, e))
+    marked = {cell for cell in sset.cells[1]
+              if mx.is_marked(endx[cell[2][0]])}
     return MarkedSSet(sset, marked)
 
 
 def fraction_space_RF(mx, x, y, bound=1):
-    """Space of right fractions, via the opposite marked simplicial set."""
-    return fraction_space_LF(opposite_marked(mx), x, y, bound=bound)
+    """Space of right fractions from x to y: the left fractions from y
+    to x of the opposite marked simplicial set."""
+    return fraction_space_LF(opposite_marked(mx), y, x, bound=bound)
 
 
 def pi0(X):
@@ -656,7 +570,7 @@ def compare_localizations(mc, bound=3):
     cache = ex_plus(mN, levels=2)
     EX, cell_of = ex_to_sset(cache)
     ho, cls = ho_of_qcat(EX)
-    mstar = max_star(mN, cache)
+    mstar = max_star(cache)
 
     C = mc.cat
 

@@ -13,7 +13,7 @@ from .sset_core.build import end_inclusion, opposite_sset, product
 from .sset_core.cat import Poset
 from .sset_core.enumerate import Check, enumerate_maps
 from .sset_core.nerves import nerve_category, nerve_poset, standard_simplex, sub_sset
-from .sset_core.sset import Simplex
+from .sset_core.sset import Simplex, compose_smap
 
 
 @dataclass
@@ -198,11 +198,70 @@ def cat_is_two_out_of_three(mc):
 
 # -- marked maps ---------------------------------------------------------
 
-def enumerate_marked_maps(ma, mx, partial=None):
-    """All marking-preserving simplicial maps between marked SSets."""
+def enumerate_marked_maps(ma, mx, partial=None, limit=None):
+    """All marking-preserving simplicial maps between marked SSets
+    (the first ``limit`` of them, if given)."""
     def edge_ok(cell, image):
         return cell not in ma.marked or mx.is_marked(image)
-    return enumerate_maps(ma.base, mx.base, partial=partial, edge_ok=edge_ok)
+    return enumerate_maps(ma.base, mx.base, partial=partial, edge_ok=edge_ok,
+                          limit=limit)
+
+
+@dataclass
+class LevelMaps:
+    """Marked maps out of a cosimplicial marked shape, level by level.
+
+    ``levels[d]`` lists the serials of the marked maps out of the d-th
+    shape and ``maps`` takes a serial to its map; face and degeneracy
+    act by precomposition with the cosimplicial structure maps.
+    ``side`` names the Ex functor ("L" or "R") whose levels these are,
+    if any.
+    """
+    input: MarkedSSet
+    bound: int
+    levels: dict = field(default_factory=dict)
+    maps: dict = field(default_factory=dict)
+    face_tbl: dict = field(default_factory=dict)
+    degen_tbl: dict = field(default_factory=dict)
+    side: str = None
+
+    def face(self, d, serial, i):
+        return self.face_tbl[(d, i)][serial]
+
+    def degen(self, d, serial, i):
+        return self.degen_tbl[(d, i)][serial]
+
+
+def level_maps(mx, shapes, coface, codegeneracy, partial=None):
+    """The levelwise mapping space of marked maps ``shapes[d] -> mx``.
+
+    ``coface(d, i)`` is the structure map ``shapes[d-1] -> shapes[d]``
+    of face i and ``codegeneracy(d, i)`` the map ``shapes[d+1] ->
+    shapes[d]`` of degeneracy i; ``partial[d]``, if given, preassigns
+    images on ``shapes[d]``.  Levels keep the enumeration order.
+    """
+    lm = LevelMaps(mx, len(shapes) - 1)
+    for d, shape in enumerate(shapes):
+        fs = enumerate_marked_maps(shape, mx,
+                                   partial=partial[d] if partial else None)
+        lm.levels[d] = [f.serialize() for f in fs]
+        lm.maps.update(zip(lm.levels[d], fs))
+
+    def table(d, structural, what):
+        tbl = {}
+        for s in lm.levels[d]:
+            tbl[s] = compose_smap(lm.maps[s], structural).serialize()
+            if tbl[s] not in lm.maps:
+                raise AssertionError(f"{what} of a level element missing")
+        return tbl
+
+    for d in range(1, lm.bound + 1):
+        for i in range(d + 1):
+            lm.face_tbl[(d, i)] = table(d, coface(d, i), "face")
+    for d in range(lm.bound):
+        for i in range(d + 1):
+            lm.degen_tbl[(d, i)] = table(d, codegeneracy(d, i), "degeneracy")
+    return lm
 
 
 def smap_is_marked(f, ma, mx):

@@ -2,7 +2,7 @@
 extraction of an SSet from abstract level data via EZ normal forms."""
 
 from .nerves import simplex_inclusion
-from .ops import compose, delta, identity_op, op_reverse
+from .ops import compose, delta, identity_op, op_reverse, sigma
 from .sset import Simplex, SMap, SSet, surjections
 
 
@@ -219,7 +219,6 @@ def from_levels(levels, face, degen, bound, namer=None):
                 y = face(d, x, i)
                 if degen(d - 1, y, i) == x:
                     s = normal_form(d - 1, y)
-                    from .ops import sigma
                     res = Simplex(compose(s.op, sigma(i, d - 1)), s.cell)
                     break
         if res is None:

@@ -5,6 +5,7 @@ category-nerve cells by ``("v", x)`` for vertices and ``("c", f1, ...)``
 for chains of non-identity morphisms.
 """
 
+from .cat import Poset
 from .ops import identity_op
 from .sset import Simplex, SMap, SSet
 
@@ -33,7 +34,6 @@ def nerve_poset(poset, bound):
 
 def standard_simplex(n, bound=None):
     """The simplex on vertices ``0 .. n``; cells are increasing tuples."""
-    from .cat import Poset
     bound = n if bound is None else bound
     p = Poset.from_leq(range(n + 1), lambda a, b: a <= b)
     return nerve_poset(p, bound)

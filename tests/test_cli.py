@@ -106,15 +106,20 @@ SRC = str(Path(cli.__file__).resolve().parents[1])
      lambda d: d.update(vertices=[], edges=[])),
     ("graph", ["corpus", "run"],
      lambda d: d.update(edges=d["edges"][:2])),
+    ("sset", ["localize", "ex", "--levels", "2"],
+     lambda d: d.update(dim_bound=1, cells=d["cells"][:2])),
+    ("sset", ["fractions", "lift"],
+     lambda d: d.update(dim_bound=2, cells=d["cells"][:3])),
+    ("cat", ["fractions", "check"], None),
 ], ids=["missing-id", "identities-list", "list-id", "faces-list",
         "list-vertex", "disconnected-graph", "corpus-empty-graph",
-        "corpus-disconnected-graph"])
+        "corpus-disconnected-graph", "ex-levels-above-dim-bound",
+        "lift-below-dim-bound-3", "directory-input"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, msset_file,
                                                    kind, argv, spoil):
     source = {"cat": cat_file("chain1_marked"), "sset": msset_file,
               "graph": graph_file("cycle5")}[kind]
     d = json.loads(Path(source).read_text())
-    spoil(d)
     if argv[0] == "corpus":  # a corpus directory holding the one graph
         path = tmp_path / "graphs" / "spoiled.json"
         path.parent.mkdir()
@@ -122,7 +127,11 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, msset_file,
     else:
         path = tmp_path / "spoiled.json"
         argv = [*argv, "--input", str(path)]
-    path.write_text(json.dumps(d))
+    if spoil is None:  # a directory where a file is expected
+        path.mkdir()
+    else:
+        spoil(d)
+        path.write_text(json.dumps(d))
     proc = subprocess.run(
         [sys.executable, "-m", "fraction_forge.cli", *argv],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
@@ -130,6 +139,35 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, msset_file,
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+# corpus categories without classical CLF / CRF, with the failed condition
+NO_CLF = [("cond3_failure", 3), ("parallel_pair_one_marked", 2),
+          ("span_w_marked", 2)]
+NO_CRF = [("cospan_w_marked", 2), ("parallel_pair_one_marked", 2),
+          ("square_poset_top_marked", 2)]
+
+
+@pytest.mark.parametrize("argv, name, condition", [
+    pytest.param(argv, name, condition, id="-".join([*argv, name]))
+    for argv, cases in ((["localize", "gz"], NO_CLF),
+                        (["localize", "gz", "--side", "R"], NO_CRF),
+                        (["mapspace"], NO_CLF),
+                        (["mapspace", "--side", "R"], NO_CRF),
+                        (["localize", "compare"], NO_CLF))
+    for name, condition in cases])
+def test_missing_fraction_condition_exits_1_with_witness(argv, name,
+                                                         condition):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fraction_forge.cli", *argv,
+         "--input", cat_file(name)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["ok"] is False
+    assert [w["condition"] for w in out["witnesses"]] == [condition]
 
 
 def test_graph_a1_loads_neither_numpy_nor_sympy():
@@ -168,6 +206,32 @@ def test_corpus_run_identical_across_hash_seeds():
     assert [p.returncode for p in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.startswith(b"{")
+
+
+@pytest.mark.parametrize("argv", [
+    ["localize", "ex", "--levels", "2", "--side", "L", "--input", "MSSET",
+     "--emit-sset", "EMIT"],
+    ["localize", "ex", "--levels", "2", "--side", "R", "--input", "MSSET",
+     "--emit-sset", "EMIT"],
+    ["localize", "compare", "--input", cat_file("chain2_marked_01")],
+    ["mapspace", "--side", "L", "--input", cat_file("chain2_marked_01")],
+    ["mapspace", "--side", "R", "--input", cat_file("chain2_marked_01")],
+], ids=["ex-L", "ex-R", "compare", "mapspace-L", "mapspace-R"])
+def test_commands_identical_across_hash_seeds(tmp_path, msset_file, argv):
+    runs = []
+    for seed in ("0", "1"):
+        emit = tmp_path / f"ex{seed}.json"
+        subs = {"MSSET": msset_file, "EMIT": str(emit)}
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fraction_forge.cli",
+             *[subs.get(a, a) for a in argv]],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            timeout=300)
+        runs.append((proc.returncode, proc.stdout,
+                     emit.read_bytes() if emit.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].startswith(b"{")
 
 
 # -- localize subcommands ------------------------------------------------
@@ -213,6 +277,13 @@ def test_fractions_lift(capsys, msset_file):
 
 def test_mapspace(capsys):
     code, out = run(capsys, "mapspace", "--input", cat_file("chain1_marked"))
+    assert code == 0
+    assert all(v["pi0"] == v["gz"] for v in out["table"].values())
+
+
+def test_mapspace_right_fractions(capsys):
+    code, out = run(capsys, "mapspace", "--side", "R",
+                    "--input", cat_file("chain2_marked_01"))
     assert code == 0
     assert all(v["pi0"] == v["gz"] for v in out["table"].values())
 

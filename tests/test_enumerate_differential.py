@@ -7,8 +7,7 @@ import reference_enumerate as ref
 from fraction_forge import cli
 from fraction_forge.exfunctor import sd_plus
 from fraction_forge.fractions import shape
-from fraction_forge.localize import _CylinderTower
-from fraction_forge.marked import nerve_marked
+from fraction_forge.marked import cylinder, minimal_marking, nerve_marked
 from fraction_forge.sset_core import (
     enumerate_maps,
     horn,
@@ -81,21 +80,18 @@ def test_sd_plus_into_nerves(d):
 
 
 def test_cylinder_tower():
-    tower = _CylinderTower(2)
+    # the shapes Δᵐ×(Δ¹)♯ of the slices, with the slice's partial maps
     mx = nerve("span_w_marked")
     x = mx.base.cells[0][0]
-    for m, P in enumerate(tower.P):
+    for m in range(3):
+        P, _, _ = cylinder(minimal_marking(standard_simplex(m, bound=m + 1)))
         partial = {cell: Simplex(tuple([0] * (d + 1)), x)
-                   for d, cs in enumerate(P.cells) for cell in cs
+                   for d, cs in enumerate(P.base.cells) for cell in cs
                    if cell[4] == (0,)}
-
-        def vertical_marked(cell, image):
-            _, op1, _, _, c2 = cell
-            return not (len(set(op1)) == 1 and c2 == (0, 1)) \
-                or mx.is_marked(image)
-        same_maps(P, mx.base)
-        same_maps(P, mx.base, partial=partial)
-        same_maps(P, mx.base, partial=partial, edge_ok=vertical_marked)
+        same_maps(P.base, mx.base)
+        same_maps(P.base, mx.base, partial=partial)
+        same_maps(P.base, mx.base, partial=partial,
+                  edge_ok=marking_ok(P, mx))
 
 
 def test_partial_with_incompatible_faces_is_rejected():

@@ -159,7 +159,7 @@ def test_ex_failure_case_unfillable():
 def test_max_star_unit():
     mN = nerve_marked(walking_marked_arrow(), 3)
     cache = ex_plus(mN, levels=2)
-    mstar = max_star(mN, cache)
+    mstar = max_star(cache)
     # vertices map to the constant level-0 elements
     for v in mN.base.cells[0]:
         assert mstar[0][v][0][2] == v
@@ -176,7 +176,7 @@ def test_ex_op_matches_direct():
     cache = ex_op(mN, levels=2)
     # spans x <~ z -> y: four over z=x, one over z=y
     assert len(cache.levels[1]) == 5
-    mstar = min_star(mN, cache)
+    mstar = min_star(cache)
     assert set(mstar[0]) == set(mN.base.cells[0])
 
 

@@ -2,7 +2,8 @@
 
 ``sset_core`` <- ``marked`` <- ``fractions``/``exfunctor`` <- ``localize``
 <- ``cli``; ``dht`` imports only ``sset_core``.  Every relative import is
-checked, at module and at function level.
+checked, at module and at function level, and every import sits at
+module level.
 """
 
 import ast
@@ -48,4 +49,20 @@ def test_layers_point_one_way():
             assert dst in RANK, (path, lineno, dst)
             if not allowed(src, dst):
                 bad.append(f"{path.relative_to(PKG)}:{lineno} imports {dst}")
+    assert not bad, bad
+
+
+def function_level_imports(path):
+    """Lines of the imports made inside a function of a module."""
+    return sorted({inner.lineno
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def test_imports_at_module_level():
+    bad = [f"{path.relative_to(PKG)}:{lineno}"
+           for path in sorted(PKG.rglob("*.py"))
+           for lineno in function_level_imports(path)]
     assert not bad, bad

@@ -237,6 +237,62 @@ def test_fraction_space_walking_arrow():
     assert len(RF.base.cells[0]) >= 1
 
 
+# cells per dimension and marked edges of LF(x, y), bound 1
+LF_SHAPES = {
+    "walking_marked_arrow": {
+        ("x", "x"): ([2, 1], 1), ("x", "y"): ([1, 0], 0),
+        ("y", "x"): ([1, 0], 0), ("y", "y"): ([1, 0], 0)},
+    "marked_segment_poset": {
+        (0, 0): ([1, 0], 0), (0, 1): ([2, 1], 1), (0, 2): ([1, 0], 0),
+        (0, 3): ([1, 0], 0), (1, 0): ([0, 0], 0), (1, 1): ([2, 1], 1),
+        (1, 2): ([1, 0], 0), (1, 3): ([1, 0], 0), (2, 0): ([0, 0], 0),
+        (2, 1): ([1, 0], 0), (2, 2): ([1, 0], 0), (2, 3): ([1, 0], 0),
+        (3, 0): ([0, 0], 0), (3, 1): ([0, 0], 0), (3, 2): ([0, 0], 0),
+        (3, 3): ([1, 0], 0)},
+}
+
+# cells per dimension, marked edges and sorted projection targets of the
+# marked slice under x, bound 2
+SLICE_SHAPES = {
+    "walking_marked_arrow": {
+        "x": ([2, 1, 0], 1, [((0,), ("v", "x")), ((0,), ("v", "y")),
+                             ((0, 1), ("c", "w"))]),
+        "y": ([1, 0, 0], 0, [((0,), ("v", "y"))])},
+    "marked_segment_poset": {
+        0: ([1, 0, 0], 0, [((0,), ("v", 0))]),
+        1: ([2, 1, 0], 1, [((0,), ("v", 1)), ((0,), ("v", 2)),
+                           ((0, 1), ("c", "1<=2"))]),
+        2: ([1, 0, 0], 0, [((0,), ("v", 2))]),
+        3: ([1, 0, 0], 0, [((0,), ("v", 3))])},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LF_SHAPES))
+def test_fraction_space_and_slice_structure(name):
+    mc = {"walking_marked_arrow": walking_marked_arrow,
+          "marked_segment_poset": marked_segment_poset}[name]()
+    mN = nerve_marked(mc, 3)
+    for (x, y), (cells, marked) in LF_SHAPES[name].items():
+        LF = fraction_space_LF(mN, ("v", x), ("v", y), bound=1)
+        assert ([len(cs) for cs in LF.base.cells], len(LF.marked)) \
+            == (cells, marked), (x, y)
+    for x, (cells, marked, targets) in SLICE_SHAPES[name].items():
+        ms, proj = marked_slice_under(mN, ("v", x), bound=2)
+        assert [len(cs) for cs in ms.base.cells] == cells, x
+        assert len(ms.marked) == marked, x
+        assert sorted((s.op, s.cell) for s in proj.values()) == targets, x
+
+
+def test_right_fraction_space_matches_gz():
+    mc = marked_segment_poset()
+    mN = nerve_marked(mc, 3)
+    right, _ = gz_right_fractions(mc)
+    for x in mc.cat.objects:
+        for y in mc.cat.objects:
+            RF = fraction_space_RF(mN, ("v", x), ("v", y), bound=1)
+            assert len(pi0(RF.base)[0]) == hom_size(right, x, y), (x, y)
+
+
 def test_pi0_mapping_check():
     for mc in (walking_marked_arrow(), marked_segment_poset()):
         gz = gz_left_fractions(mc)
