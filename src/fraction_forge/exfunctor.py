@@ -1,5 +1,5 @@
 """Marked subdivision, the truncated marked Ex functor and its dual,
-the unit maps max*/min*, and the comparison with the classical Ex.
+the unit map max*, and the comparison with the classical Ex.
 
 ``sd_plus(n)`` is the chain nerve of non-empty subsets of [n] ordered by
 inclusion, an edge marked iff it preserves the maximum; ``sd_op(n)`` is
@@ -41,17 +41,15 @@ def sd_op(n):
     return subset_nerve(n, "R")
 
 
-def sd_map(phi, m, n, side="L"):
-    """Cosimplicial structure map of the subdivision shapes.
+def sd_map(phi, m, n):
+    """Cosimplicial structure map of the subdivision shapes sd₊.
 
     ``phi`` is a monotone map [m] -> [n] given as a tuple; the induced
-    map sends a subset A to its image under phi.  Marking-preserving on
-    both sides (images of monotone maps preserve max and min).
+    map sends a subset A to its image under phi.  Marking-preserving
+    (images of monotone maps preserve the max).
     """
-    src = sd_plus(m) if side == "L" else sd_op(m)
-    dst = sd_plus(n) if side == "L" else sd_op(n)
     return nerve_map(lambda A: frozenset(phi[a] for a in A),
-                     src.base, dst.base)
+                     sd_plus(m).base, sd_plus(n).base)
 
 
 # -- marked subdivision of a finite simplicial set -----------------------
@@ -108,7 +106,7 @@ def Sd_plus(X):
         return uf.find((u, shapes[X.dim_of(u)].base.simplex_degeneracy(s, i)))
 
     sset, cell_of = from_levels(levels, face, degen, top,
-                                namer=lambda d, x: x)
+                                lambda d, x: x)
     marked = set()
     for (u, s), root in ((p, uf.find(p)) for p, dd in dims.items() if dd == 1):
         if s.nondegenerate and max(s.cell[0]) == max(s.cell[1]):
@@ -154,14 +152,15 @@ def ex_op(mx, levels=2):
     return cache
 
 
-def ex_op_direct_check(mx, levels=2):
+def ex_op_direct_check(mx):
     """Cross-check of the conjugated dual against direct enumeration.
 
     Marked maps out of ``sd_op(d)`` into the input are counted directly
-    and compared with the conjugated construction level by level.
+    and compared with the conjugated construction level by level, for
+    d <= 2.
     """
-    cache = ex_op(mx, levels=levels)
-    for d in range(levels + 1):
+    cache = ex_op(mx, levels=2)
+    for d in range(3):
         direct = enumerate_marked_maps(sd_op(d), mx)
         if len(direct) != len(cache.levels[d]):
             return Check(False, {"level": d, "direct": len(direct),
@@ -173,13 +172,21 @@ def ex_to_sset(cache):
     """The truncated Ex as an SSet; cells named ("ex", level, serial)."""
     levels = [cache.levels[d] for d in range(cache.bound + 1)]
     return from_levels(levels, cache.face, cache.degen, cache.bound,
-                       namer=lambda d, x: ("ex", d, x))
+                       lambda d, x: ("ex", d, x))
 
 
 # -- unit maps -----------------------------------------------------------
 
-def _unit(X, cache):
-    """A d-cell u of ``X`` goes to the level-d map  chain -> u . max."""
+def max_star(cache):
+    """The unit: a d-cell u goes to the level-d map  chain -> u . max.
+
+    Returns {d: {cell: serial}} on the cached levels.  Marked edges land
+    on marked level-1 elements because max-preserving edges of the shape
+    hit degenerate edges of the input.
+    """
+    if cache.side != "L":
+        raise ValueError("max_star applies to left-handed caches")
+    X = cache.input.base
     out = {}
     for d in range(cache.bound + 1):
         shape = sd_plus(d).base
@@ -192,25 +199,6 @@ def _unit(X, cache):
                 raise AssertionError("unit image missing from the level")
             out[d][u] = s
     return out
-
-
-def max_star(cache):
-    """The unit: a d-cell u goes to the level-d map  chain -> u . max.
-
-    Returns {d: {cell: serial}} on the cached levels.  Marked edges land
-    on marked level-1 elements because max-preserving edges of the shape
-    hit degenerate edges of the input.
-    """
-    if cache.side != "L":
-        raise ValueError("max_star applies to left-handed caches")
-    return _unit(cache.input.base, cache)
-
-
-def min_star(cache):
-    """The dual unit for right-handed caches, via min on reversed chains."""
-    if cache.side != "R":
-        raise ValueError("min_star applies to right-handed caches")
-    return _unit(opposite_marked(cache.input).base, cache)
 
 
 # -- comparison with the classical Ex ------------------------------------

@@ -13,14 +13,13 @@ from .marked import (
     is_weakly_closed,
     subset_nerve,
 )
-from .sset_core.build import opposite_sset
 from .sset_core.cat import Poset
 # ``enumerate_maps`` stays importable from here: perfbench's tracer tests
 # read it under this name
 from .sset_core.enumerate import Check, enumerate_maps  # noqa: F401
 from .sset_core.nerves import nerve_map, nerve_poset, sub_sset
 from .sset_core.ops import identity_op
-from .sset_core.sset import SMap, Simplex
+from .sset_core.sset import Simplex
 
 
 # -- shapes --------------------------------------------------------------
@@ -39,29 +38,6 @@ def shape(n, k, side="L", variant="I"):
         raise ValueError(f"unknown side/variant {side}/{variant}")
     omit = (frozenset(range(n + 1)),) if variant == "J" else ()
     return subset_nerve(n, side, containing=k, omit=omit)
-
-
-def flip_iso(n, k):
-    """Isomorphism (L-I^n_k)^op -> R-I^n_{n-k} induced by i -> n - i.
-
-    Returns the SMap between the opposite of the L shape and the R shape
-    (chains reversed, subsets flipped).
-    """
-    L = shape(n, k, "L", "I")
-    R = shape(n, n - k, "R", "I")
-    Lop = opposite_sset(L.base)
-
-    def flip(A):
-        return frozenset(n - i for i in A)
-
-    asg = {}
-    for d, cs in enumerate(Lop.cells):
-        for chain in cs:
-            img = tuple(flip(A) for A in reversed(chain))
-            asg[chain] = Simplex(identity_op(d), img)
-    f = SMap(Lop, R.base, asg)
-    f.validate()
-    return f
 
 
 # -- right lifting property against shape inclusions ---------------------
@@ -180,43 +156,6 @@ def check_clf_infty(mx, side="L", shapes=None, is_nerve=False):
 def check_crf_infty(mx, **kw):
     kw.setdefault("side", "R")
     return check_clf_infty(mx, **kw)
-
-
-# -- coequalize-many lemma ----------------------------------------------
-
-def coequalize_many(mc, pairs):
-    """A single marked arrow coequalizing many marked-coequalized pairs.
-
-    Each pair (f, g) must be parallel and admit w marked with fw = gw;
-    under CLF condition (3) a common u with uf = ug for all pairs is
-    built by induction.  Returns Check with witness {"u": name}.
-    """
-    C = mc.cat
-    W = effective_marking(mc)
-    if not pairs:
-        raise ValueError("need at least one pair")
-    y = C.cod(pairs[0][0])
-    for f, g in pairs:
-        if C.dom(f) != C.dom(pairs[0][0]) or C.cod(f) != y \
-                or C.dom(g) != C.dom(f) or C.cod(g) != y:
-            raise ValueError("pairs must be parallel with a common target")
-        if not any(C.compose(f, w) == C.compose(g, w)
-                   for w in sorted(W) if C.cod(w) == C.dom(f)):
-            raise ValueError(f"pair {(f, g)} is not coequalized by any marked arrow")
-    u = C.ident(y)
-    for f, g in pairs:
-        uf, ug = C.compose(u, f), C.compose(u, g)
-        if uf == ug:
-            continue
-        found = None
-        for v in sorted(W):
-            if C.dom(v) == C.cod(u) and C.compose(v, uf) == C.compose(v, ug):
-                found = v
-                break
-        if found is None:
-            return Check(False, {"stuck_pair": (f, g), "u": u})
-        u = C.compose(found, u)
-    return Check(True, {"u": u})
 
 
 # -- simple inner horn decompositions -----------------------------------

@@ -4,6 +4,8 @@ formula, marked slices and fraction mapping spaces, filteredness checks,
 and the three-way localization comparison.
 """
 
+from itertools import product
+
 from .exfunctor import ex_plus, ex_to_sset, max_star
 from .fractions import check_clf_classical, check_proper_clf
 from .marked import (
@@ -28,17 +30,17 @@ from .sset_core.unionfind import UnionFind
 # -- homotopy category of a truncated quasicategory ---------------------
 
 
-def ho_of_qcat(X, check_qcat=True):
+def ho_of_qcat(X):
     """Homotopy category of a 2-truncated quasicategory.
 
     Returns ``(cat, cls)`` where ``cls`` maps a 1-simplex of ``X`` (in
     normal form) to its morphism name.  Composition picks 2-cell
-    witnesses; a missing or inconsistent witness raises.
+    witnesses; an input that is not a quasicategory up to dimension 2,
+    or a missing or inconsistent witness, raises.
     """
-    if check_qcat:
-        res = is_quasicategory_upto(X, 2)
-        if not res.ok:
-            raise ValueError(f"not a quasicategory up to dim 2: {res.witness}")
+    res = is_quasicategory_upto(X, 2)
+    if not res.ok:
+        raise ValueError(f"not a quasicategory up to dim 2: {res.witness}")
     ones = X.simplices(1)
     uf = UnionFind()
     for s in ones:
@@ -88,38 +90,17 @@ def ho_of_qcat(X, check_qcat=True):
     return cat, (lambda s: name_of[s])
 
 
-def natural_marking(X, qcat_bound=2):
-    """Mark a quasicategory at its Ho-invertible edges.
-
-    Raises if inner-horn filling fails up to ``qcat_bound`` — the
-    invertibility criterion is only meaningful for quasicategories.
-    """
-    res = is_quasicategory_upto(X, min(qcat_bound, X.dim_bound))
-    if not res.ok:
-        raise ValueError(f"natural marking needs a quasicategory; witness {res.witness}")
-    ho, cls = ho_of_qcat(X)
-    marked = {c for c in X.cells[1] if ho.is_iso(cls(Simplex((0, 1), c)))}
-    return MarkedSSet(X, marked)
-
-
-def ho_well_defined_check(X):
-    """Exhaustive check that 2-cell witnesses give a single composite."""
-    try:
-        ho_of_qcat(X)
-    except ValueError as e:
-        return Check(False, str(e))
-    return Check(True)
-
-
 # -- Gabriel-Zisman fractions -------------------------------------------
 
 
-def gz_left_fractions(mc, completion_order="forward", exhaustive=False):
+def gz_left_fractions(mc, exhaustive=False):
     """Category of left fractions C W^{-1} with its canonical functor.
 
     Returns ``(cat, info)``; ``info`` has ``cls`` mapping a cospan
     ``(f, w)`` to its class name and ``canonical`` mapping a morphism of
-    C to the class of ``(f, id)``.  Requires classical CLF.
+    C to the class of ``(f, id)``.  Requires classical CLF.  With
+    ``exhaustive``, each composite is formed from every representative
+    and every completion, and must not depend on the choice.
     """
     res = check_clf_classical(mc)
     if not res.ok:
@@ -127,8 +108,6 @@ def gz_left_fractions(mc, completion_order="forward", exhaustive=False):
     C = mc.cat
     W = effective_marking(mc)
     names = sorted(C.morphism_names())
-    if completion_order == "reverse":
-        names = names[::-1]
 
     cospans = {}
     for x in C.objects:
@@ -221,9 +200,9 @@ def gz_left_fractions(mc, completion_order="forward", exhaustive=False):
     return cat, info
 
 
-def gz_right_fractions(mc, **kw):
+def gz_right_fractions(mc):
     """Category of right fractions, via duality."""
-    cat_op, info_op = gz_left_fractions(mc.opposite(), **kw)
+    cat_op, info_op = gz_left_fractions(mc.opposite())
     cat = cat_op.opposite()
     info = {
         "cls": lambda f, w: info_op["cls"](f, w),
@@ -231,88 +210,6 @@ def gz_right_fractions(mc, **kw):
         "cls_name": info_op["cls_name"],
     }
     return cat, info
-
-
-def localization_inverts(mc, cat, info):
-    """Every marked morphism becomes invertible in the fraction category."""
-    for w in effective_marking(mc):
-        if not cat.is_iso(info["canonical"](w)):
-            return Check(False, {"marked": w})
-    return Check(True)
-
-
-def zigzag_oracle(mc, x, y, max_len=6):
-    """Brute-force localization homs by bounded zigzag words.
-
-    Words are sequences of (dir, morphism); dir "+" is a morphism of C,
-    dir "-" a formally reversed marked morphism.  The quotient is by
-    identity insertion/removal, composition rewriting, and cancellation
-    of inverse pairs, all within the length bound.  Returns the number of
-    classes of words from x to y.
-    """
-    C = mc.cat
-    W = effective_marking(mc)
-
-    def src(step):
-        d, m = step
-        return C.dom(m) if d == "+" else C.cod(m)
-
-    def tgt(step):
-        d, m = step
-        return C.cod(m) if d == "+" else C.dom(m)
-
-    all_words = {(): x}
-    # enumerate composable words up to max_len from x
-    reach = [((), x)]
-    for _ in range(max_len):
-        nxt = []
-        for word, at in reach:
-            for m in sorted(C.morphism_names()):
-                if C.dom(m) == at:
-                    nxt.append((word + (("+", m),), C.cod(m)))
-                if m in W and C.cod(m) == at:
-                    nxt.append((word + (("-", m),), C.dom(m)))
-        reach = nxt
-        for word, at in nxt:
-            all_words[word] = at
-    targets = [w for w, at in all_words.items() if at == y]
-
-    uf = UnionFind()
-    for w in targets:
-        uf.add(w)
-
-    def relate(a, b):
-        if a in all_words and b in all_words and all_words[a] == y \
-                and all_words[b] == y:
-            uf.union(a, b)
-
-    for word in list(all_words):
-        if all_words[word] != y:
-            continue
-        n = len(word)
-        for i in range(n + 1):
-            at = x if i == 0 else tgt(word[i - 1])
-            e = ("+", C.ident(at))
-            if n + 1 <= max_len:
-                relate(word, word[:i] + (e,) + word[i:])
-            ei = ("-", C.ident(at))
-            if n + 1 <= max_len:
-                relate(word, word[:i] + (ei,) + word[i:])
-        for i in range(n - 1):
-            a, b = word[i], word[i + 1]
-            if a[0] == "+" and b[0] == "+":
-                relate(word, word[:i] + (("+", C.compose(b[1], a[1])),) + word[i + 2:])
-            if a[0] == "-" and b[0] == "-":
-                comp = C.compose(a[1], b[1])
-                if comp in W:
-                    relate(word, word[:i] + (("-", comp),) + word[i + 2:])
-            if a[0] == "+" and b[0] == "-" and a[1] == b[1]:
-                ident = ("+", C.ident(C.dom(a[1])))
-                relate(word, word[:i] + (ident,) + word[i + 2:])
-            if a[0] == "-" and b[0] == "+" and a[1] == b[1]:
-                ident = ("+", C.ident(C.cod(a[1])))
-                relate(word, word[:i] + (ident,) + word[i + 2:])
-    return len({uf.find(w) for w in targets})
 
 
 # -- filtered-colimit hom formula ---------------------------------------
@@ -370,8 +267,7 @@ def colimit_vs_gz(mc, x, y, gz=None):
                 if c in assign and assign[c] != g:
                     return Check(False, {"pair": (x, y), "reason": "not well-defined"})
                 assign[c] = g
-    gz_homs = {m for m in cat.morphism_names()
-               if cat.dom(m) == x and cat.cod(m) == y}
+    gz_homs = set(cat.hom(x, y))
     if set(assign.values()) != gz_homs or len(assign) != len(gz_homs):
         return Check(False, {"pair": (x, y), "colimit": len(classes),
                              "gz": len(gz_homs)})
@@ -438,15 +334,15 @@ def slice_filtered_check(mc, x):
 # -- marked slices and fraction spaces (simplicial) ----------------------
 
 
-def _slice(mx, x, bound):
+def _slice(mx, x):
     """Levels of the slice under the vertex x: marked maps
-    Δᵐ×(Δ¹)♯ -> (X, W) constant at x on Δᵐ×{0}, for m <= bound.
+    Δᵐ×(Δ¹)♯ -> (X, W) constant at x on Δᵐ×{0}, for m <= 1.
 
     Returns the levels and ``end``, which takes a serial to the image of
     Δᵐ×{1}, the projection to X.
     """
     cyls = [cylinder(minimal_marking(standard_simplex(m, bound=m + 1)))
-            for m in range(bound + 1)]
+            for m in range(2)]
     shapes = [P for P, _, _ in cyls]
     D1 = standard_simplex(1)
     id_d1 = simplex_inclusion(D1, D1)
@@ -467,42 +363,29 @@ def _slice(mx, x, bound):
     return lm, end
 
 
-def marked_slice_under(mx, x, bound=2):
-    """Marked slice under a vertex: cylinder maps constant at x at end 0
-    with marked connecting edges; an edge is marked iff its projection
-    is.  Returns the marked SSet and the projection of each cell."""
-    lm, end = _slice(mx, x, bound)
-    sset, _ = from_levels([lm.levels[d] for d in range(bound + 1)],
-                          lm.face, lm.degen, bound,
-                          namer=lambda d, s: ("sl", d, s))
-    marked = {cell for cell in sset.cells[1] if mx.is_marked(end[cell[2]])}
-    proj = {cell: end[cell[2]] for cs in sset.cells for cell in cs}
-    return MarkedSSet(sset, marked), proj
-
-
-def fraction_space_LF(mx, x, y, bound=1):
-    """Space of left fractions from x to y: levelwise pullback of the
-    fat slice under x against the marked slice under y over X.  The fat
-    slice is the slice of the maximal marking: its connecting edges may
-    be any edges."""
-    fat, endx = _slice(maximal_marking(mx.base), x, bound)
-    sl, endy = _slice(mx, y, bound)
+def fraction_space_LF(mx, x, y):
+    """Space of left fractions from x to y, truncated at dimension 1:
+    levelwise pullback of the fat slice under x against the marked slice
+    under y over X.  The fat slice is the slice of the maximal marking:
+    its connecting edges may be any edges."""
+    fat, endx = _slice(maximal_marking(mx.base), x)
+    sl, endy = _slice(mx, y)
     levels = [[(sx, sy) for sx in fat.levels[d] for sy in sl.levels[d]
-               if endx[sx] == endy[sy]] for d in range(bound + 1)]
+               if endx[sx] == endy[sy]] for d in range(2)]
     sset, _ = from_levels(
         levels,
         lambda d, e, i: (fat.face(d, e[0], i), sl.face(d, e[1], i)),
         lambda d, e, i: (fat.degen(d, e[0], i), sl.degen(d, e[1], i)),
-        bound, namer=lambda d, e: ("lf", d, e))
+        1, lambda d, e: ("lf", d, e))
     marked = {cell for cell in sset.cells[1]
               if mx.is_marked(endx[cell[2][0]])}
     return MarkedSSet(sset, marked)
 
 
-def fraction_space_RF(mx, x, y, bound=1):
+def fraction_space_RF(mx, x, y):
     """Space of right fractions from x to y: the left fractions from y
     to x of the opposite marked simplicial set."""
-    return fraction_space_LF(opposite_marked(mx), y, x, bound=bound)
+    return fraction_space_LF(opposite_marked(mx), y, x)
 
 
 def pi0(X):
@@ -516,7 +399,7 @@ def pi0(X):
         (lambda v: uf.find(v))
 
 
-def pi0_mapping_check(mc, x, y, gz=None, bound=3):
+def pi0_mapping_check(mc, x, y, gz=None):
     """pi0 of the fraction space vs gz hom classes, as a bijection."""
     res = check_proper_clf(mc)
     if not res.ok:
@@ -524,8 +407,8 @@ def pi0_mapping_check(mc, x, y, gz=None, bound=3):
     if gz is None:
         gz = gz_left_fractions(mc)
     cat, info = gz
-    mN = nerve_marked(mc, bound=bound)
-    LF = fraction_space_LF(mN, ("v", x), ("v", y), bound=1)
+    mN = nerve_marked(mc, 3)
+    LF = fraction_space_LF(mN, ("v", x), ("v", y))
     comps, comp_of = pi0(LF.base)
     # vertices of LF are pairs (cylinder at x, marked cylinder at y);
     # read off the cospan and map it to its gz class
@@ -542,8 +425,7 @@ def pi0_mapping_check(mc, x, y, gz=None, bound=3):
         if c in assign and assign[c] != g:
             return Check(False, {"pair": (x, y), "reason": "not constant on pi0"})
         assign[c] = g
-    gz_homs = {m for m in cat.morphism_names()
-               if cat.dom(m) == x and cat.cod(m) == y}
+    gz_homs = set(cat.hom(x, y))
     ok = set(assign.values()) == gz_homs and len(assign) == len(gz_homs)
     return Check(ok, {"pi0": len(comps), "gz": len(gz_homs)})
 
@@ -560,13 +442,13 @@ def _edge_of_vertex_cylinder(serialized):
 # -- three-way comparison ------------------------------------------------
 
 
-def compare_localizations(mc, bound=3):
+def compare_localizations(mc):
     """Ho(Ex₊(N C, W)) vs gz_left_fractions(C): isomorphism report."""
     res = check_proper_clf(mc)
     if not res.ok:
         raise ValueError(f"comparison needs proper CLF; witness {res.witness}")
     gz_cat, gz_info = gz_left_fractions(mc)
-    mN = nerve_marked(mc, bound=bound)
+    mN = nerve_marked(mc, 3)
     cache = ex_plus(mN, levels=2)
     EX, cell_of = ex_to_sset(cache)
     ho, cls = ho_of_qcat(EX)
@@ -611,8 +493,7 @@ def compare_localizations(mc, bound=3):
         # bijectivity on each hom set
         for x in C.objects:
             for y in C.objects:
-                src = [m for m in gz_cat.morphism_names()
-                       if gz_cat.dom(m) == x and gz_cat.cod(m) == y]
+                src = gz_cat.hom(x, y)
                 dst = ho.hom(objmap[x], objmap[y])
                 img = [F[m] for m in src]
                 hom_table[f"{x}->{y}"] = {"gz": len(src), "ho_ex": len(dst)}
@@ -652,94 +533,52 @@ def colimit_preservation_probe(mc, diagram):
     """Check a coequalizer/pushout colimit survives localization.
 
     ``diagram`` is ``("coeq", f, g)`` (parallel pair) or
-    ``("pushout", f, g)`` (span with common domain).  The colimit in C
-    is found by universal-property enumeration; its image cocone in the
-    fraction category is then checked to be colimiting.
+    ``("pushout", f, g)`` (span with common domain).  A cocone is a leg
+    out of each end of the diagram, to a common apex, that equalizes
+    the two arrows.  The colimit in C is the first cocone through which
+    every cocone factors uniquely; its image in the fraction category
+    must have the same property.  The witness of a failure is a cocone
+    and its number of factorings.
     """
     res = check_proper_clf(mc)
     if not res.ok:
         raise ValueError(f"probe needs proper CLF; witness {res.witness}")
     C = mc.cat
     kind, f, g = diagram
-
     if kind == "coeq":
         if C.dom(f) != C.dom(g) or C.cod(f) != C.cod(g):
             raise ValueError("coequalizer needs a parallel pair")
-        b = C.cod(f)
-
-        def is_cone(e):
-            return C.dom(e) == b and C.compose(e, f) == C.compose(e, g)
-
-        def factorings(e, cone):
-            # morphisms t with t . cone = e
-            return [t for t in C.morphism_names()
-                    if C.dom(t) == C.cod(cone) and C.cod(t) == C.cod(e)
-                    and C.compose(t, cone) == e]
-
-        cones = [e for e in sorted(C.morphism_names()) if is_cone(e)]
-        colim = None
-        for cone in cones:
-            if all(len(factorings(e, cone)) == 1 for e in cones):
-                colim = cone
-                break
-        if colim is None:
-            raise ValueError("diagram has no colimit in C")
-        cat, info = gz_left_fractions(mc)
-        gf = info["canonical"](f)
-        gg = info["canonical"](g)
-        gcone = info["canonical"](colim)
-        lcones = [e for e in sorted(cat.morphism_names())
-                  if cat.dom(e) == cat.cod(gf)
-                  and cat.compose(e, gf) == cat.compose(e, gg)]
-        for e in lcones:
-            ts = [t for t in cat.morphism_names()
-                  if cat.dom(t) == cat.cod(gcone) and cat.cod(t) == cat.cod(e)
-                  and cat.compose(t, gcone) == e]
-            if len(ts) != 1:
-                return Check(False, {"cocone": repr(e), "factorings": len(ts)})
-        return Check(True)
-
-    if kind == "pushout":
+        legs = 1  # f and g both land in the one end
+    elif kind == "pushout":
         if C.dom(f) != C.dom(g):
             raise ValueError("pushout needs a span")
-        b, c = C.cod(f), C.cod(g)
+        legs = 2  # f lands in the first end, g in the second
+    else:
+        raise ValueError(f"unknown diagram kind {kind!r}")
 
-        def cones_po(cat2, ff, gg):
-            out = []
-            for p in sorted(cat2.morphism_names()):
-                if cat2.dom(p) != cat2.cod(ff):
-                    continue
-                for q in sorted(cat2.morphism_names()):
-                    if cat2.dom(q) != cat2.cod(gg) or cat2.cod(q) != cat2.cod(p):
-                        continue
-                    if cat2.compose(p, ff) == cat2.compose(q, gg):
-                        out.append((p, q))
-            return out
+    def cocones(cat, ff, gg):
+        ends = [cat.cod(ff), cat.cod(gg)][:legs]
+        outs = [[m for m in sorted(cat.morphism_names()) if cat.dom(m) == e]
+                for e in ends]
+        return [c for c in product(*outs)
+                if len({cat.cod(m) for m in c}) == 1
+                and cat.compose(c[0], ff) == cat.compose(c[-1], gg)]
 
-        def univ(cat2, cone, cones):
-            p0, q0 = cone
-            for p, q in cones:
-                ts = [t for t in cat2.morphism_names()
-                      if cat2.dom(t) == cat2.cod(p0) and cat2.cod(t) == cat2.cod(p)
-                      and cat2.compose(t, p0) == p and cat2.compose(t, q0) == q]
-                if len(ts) != 1:
-                    return False, (p, q, len(ts))
-            return True, None
+    def not_universal(cat, colim, cones):
+        for c in cones:
+            n = sum(1 for t in cat.hom(cat.cod(colim[0]), cat.cod(c[0]))
+                    if all(cat.compose(t, a) == b for a, b in zip(colim, c)))
+            if n != 1:
+                return {"cocone": repr(c), "factorings": n}
+        return None
 
-        cones = cones_po(C, f, g)
-        colim = None
-        for cone in cones:
-            okc, _ = univ(C, cone, cones)
-            if okc:
-                colim = cone
-                break
-        if colim is None:
-            raise ValueError("diagram has no colimit in C")
-        cat, info = gz_left_fractions(mc)
-        gf, gg = info["canonical"](f), info["canonical"](g)
-        gcone = (info["canonical"](colim[0]), info["canonical"](colim[1]))
-        lcones = cones_po(cat, gf, gg)
-        okc, wit = univ(cat, gcone, lcones)
-        return Check(okc, None if okc else {"witness": repr(wit)})
-
-    raise ValueError(f"unknown diagram kind {kind!r}")
+    cones = cocones(C, f, g)
+    colim = next((c for c in cones if not_universal(C, c, cones) is None),
+                 None)
+    if colim is None:
+        raise ValueError("diagram has no colimit in C")
+    cat, info = gz_left_fractions(mc)
+    canonical = info["canonical"]
+    witness = not_universal(cat, tuple(map(canonical, colim)),
+                            cocones(cat, canonical(f), canonical(g)))
+    return Check(witness is None, witness)

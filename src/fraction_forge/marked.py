@@ -12,7 +12,7 @@ from itertools import combinations
 from .sset_core.build import end_inclusion, opposite_sset, product
 from .sset_core.cat import Poset
 from .sset_core.enumerate import Check, enumerate_maps
-from .sset_core.nerves import nerve_category, nerve_poset, standard_simplex, sub_sset
+from .sset_core.nerves import nerve_category, nerve_poset, standard_simplex
 from .sset_core.sset import Simplex, compose_smap
 
 
@@ -32,12 +32,6 @@ class MarkedSSet:
         if simplex.dim != 1:
             raise ValueError("markedness is a property of 1-simplices")
         return not simplex.nondegenerate or simplex.cell in self.marked
-
-    def edges_of(self, cell):
-        """All 1-dimensional sub-simplices of a cell, in normal form."""
-        d = self.base.dim_of(cell)
-        return [self.base.apply_cell(cell, (i, j))
-                for i in range(d + 1) for j in range(i + 1, d + 1)]
 
     def marked_simplices_1(self):
         """All marked 1-simplices: degenerate edges plus marked cells."""
@@ -82,21 +76,9 @@ def maximal_marking(X):
     return MarkedSSet(X, set(X.cells[1]))
 
 
-def iso_marking(mc_or_cat):
+def iso_marking(cat):
     """Mark a category at its isomorphisms."""
-    cat = mc_or_cat.cat if isinstance(mc_or_cat, MarkedCategory) else mc_or_cat
     return MarkedCategory(cat, {f for f in cat.morphism_names() if cat.is_iso(f)})
-
-
-def marked_core(mx):
-    """Largest subcomplex all of whose edges are marked."""
-    keep = set(mx.base.cells[0])
-    for d in range(1, len(mx.base.cells)):
-        for c in mx.base.cells[d]:
-            if all(mx.is_marked(e) for e in mx.edges_of(c)):
-                keep.add(c)
-    core = sub_sset(mx.base, lambda c: c in keep)
-    return MarkedSSet(core, {c for c in core.cells[1] if c in mx.marked})
 
 
 # -- subset-poset nerves ------------------------------------------------
@@ -156,28 +138,6 @@ def is_weakly_closed(mx):
                 break
         if not good:
             return Check(False, {"first": f, "second": g})
-    return Check(True)
-
-
-def is_strongly_closed(mx):
-    """Faces 0 and 2 marked forces face 1 marked, for every triangle."""
-    X = mx.base
-    for u in X.simplices(2):
-        fs = [X.simplex_face(u, i) for i in range(3)]
-        if mx.is_marked(fs[0]) and mx.is_marked(fs[2]) and not mx.is_marked(fs[1]):
-            return Check(False, {"triangle": u, "unmarked": fs[1]})
-    return Check(True)
-
-
-def is_two_out_of_three(mx):
-    """Any two marked faces of a triangle force the third."""
-    X = mx.base
-    for u in X.simplices(2):
-        fs = [X.simplex_face(u, i) for i in range(3)]
-        ms = [mx.is_marked(f) for f in fs]
-        if sum(ms) == 2:
-            i = ms.index(False)
-            return Check(False, {"triangle": u, "unmarked": fs[i]})
     return Check(True)
 
 
@@ -264,21 +224,16 @@ def level_maps(mx, shapes, coface, codegeneracy, partial=None):
     return lm
 
 
-def smap_is_marked(f, ma, mx):
-    for c in ma.marked:
-        if not mx.is_marked(f.on_cell(c)):
-            return False
-    return True
-
-
-def cylinder(mx, bound=None):
+def cylinder(mx):
     """The marked cylinder ``(X, W) x (Δ¹)♯`` with its end inclusions.
 
-    Returns ``(P, marked_pred, i0, i1)`` where ``marked_pred`` decides
-    markedness of product 1-cells (X-component marked or degenerate).
+    Returns ``(mp, i0, i1)``: the marked product, whose 1-cells are
+    marked when their X-component is marked or degenerate, and the
+    inclusions of the ends 0 and 1.  It is truncated at the dimension
+    bound of X.
     """
     X = mx.base
-    bound = X.dim_bound if bound is None else bound
+    bound = X.dim_bound
     D1 = standard_simplex(1, bound=max(bound, 1))
     P = product(X, D1, bound)
     marked = set()
@@ -288,20 +243,6 @@ def cylinder(mx, bound=None):
             marked.add(cell)
     mp = MarkedSSet(P, marked)
     return mp, end_inclusion(X, D1, P, 0), end_inclusion(X, D1, P, 1)
-
-
-def is_marked_homotopy(H, mx, my):
-    """Check a map off the marked cylinder of ``mx`` preserves markings.
-
-    ``H`` must be an SMap with source the base of ``cylinder(mx)``'s
-    product.  Returns a Check; witness is an offending edge.
-    """
-    for cell in H.src.cells[1]:
-        _, op1, c1, op2, c2 = cell
-        cyl_marked = len(set(op1)) == 1 or c1 in mx.marked
-        if cyl_marked and not my.is_marked(H.on_cell(cell)):
-            return Check(False, {"edge": cell, "image": H.on_cell(cell)})
-    return Check(True)
 
 
 def opposite_marked(mx):

@@ -6,7 +6,6 @@ from .ops import (
     delta,
     epi_mono_factor,
     identity_op,
-    is_monotone,
     is_surjection,
     op_reverse,
     sigma,
@@ -24,8 +23,8 @@ from .nerves import (
     simplex_map,
     standard_simplex,
 )
-from .build import empty_sset, from_levels, join, opposite_smap, opposite_sset, product, product_map
-from .enumerate import enumerate_maps, extensions, find_isomorphism, is_quasicategory_upto
+from .build import from_levels, join, opposite_sset, product, product_map
+from .enumerate import enumerate_maps, is_quasicategory_upto
 from . import io
 
 __all__ = [
@@ -37,23 +36,18 @@ __all__ = [
     "boundary",
     "compose",
     "delta",
-    "empty_sset",
     "enumerate_maps",
     "epi_mono_factor",
-    "extensions",
-    "find_isomorphism",
     "from_levels",
     "horn",
     "identity_op",
     "io",
-    "is_monotone",
     "is_quasicategory_upto",
     "is_surjection",
     "join",
     "nerve_category",
     "nerve_poset",
     "op_reverse",
-    "opposite_smap",
     "opposite_sset",
     "product",
     "product_map",

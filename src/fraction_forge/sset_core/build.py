@@ -6,10 +6,6 @@ from .ops import compose, delta, identity_op, op_reverse, sigma
 from .sset import Simplex, SMap, SSet, surjections
 
 
-def empty_sset(bound=0):
-    return SSet(bound, [[] for _ in range(bound + 1)], {})
-
-
 # -- joins ---------------------------------------------------------------
 
 def _join_mixed_face(X, Y, c1, c2, i):
@@ -136,18 +132,6 @@ def product_map(f, g, P, Q):
     return SMap(P, Q, asg)
 
 
-def product_projections(X, Y, P):
-    """The two projection maps of a product built by ``product``."""
-    asg1 = {}
-    asg2 = {}
-    for cs in P.cells:
-        for cell in cs:
-            _, op1, c1, op2, c2 = cell
-            asg1[cell] = Simplex(op1, c1)
-            asg2[cell] = Simplex(op2, c2)
-    return SMap(P, X, asg1), SMap(P, Y, asg2)
-
-
 def pair_into_product(f, g, P):
     """The map ``(f, g): A -> X x Y`` into a product built by ``product``."""
     asg = {}
@@ -181,17 +165,9 @@ def opposite_sset(X):
     return SSet(X.dim_bound, X.cells, faces)
 
 
-def opposite_smap(f, src_op, dst_op):
-    """The same map viewed between the opposite simplicial sets."""
-    asg = {}
-    for c, s in f.assignment.items():
-        asg[c] = Simplex(op_reverse(s.op, len(set(s.op)) - 1), s.cell)
-    return SMap(src_op, dst_op, asg)
-
-
 # -- EZ extraction from level data --------------------------------------
 
-def from_levels(levels, face, degen, bound, namer=None):
+def from_levels(levels, face, degen, bound, namer):
     """Build an SSet from abstract simplicial level data.
 
     ``levels[d]`` lists hashable elements; ``face(d, x, i)`` and
@@ -200,7 +176,6 @@ def from_levels(levels, face, degen, bound, namer=None):
     degeneracies.  Returns ``(sset, cell_of)`` where ``cell_of`` maps an
     element to its normal form as a Simplex.
     """
-    namer = namer or (lambda d, x: x)
     degenerate = [set() for _ in range(bound + 1)]
     for d in range(bound):
         for x in levels[d]:

@@ -52,15 +52,14 @@ class FinCategory:
     """A finite category: objects, named morphisms, identity and
     composition tables.  ``comp[(g, f)]`` is the name of ``g . f``."""
 
-    def __init__(self, objects, morphisms, identities, comp, check=True):
+    def __init__(self, objects, morphisms, identities, comp):
         self.objects = list(objects)
         self.morphisms = {m.name: m for m in morphisms}
         if len(self.morphisms) != len(morphisms):
             raise ValueError("duplicate morphism names")
         self.identities = dict(identities)
         self.comp = dict(comp)
-        if check:
-            self.validate()
+        self.validate()
 
     # -- queries ---------------------------------------------------------
 
@@ -143,16 +142,16 @@ class FinCategory:
                             f"associativity fails at {h.name!r}, {g.name!r}, {f.name!r}")
 
     @staticmethod
-    def from_poset(poset, namer=None):
-        """The category with a unique morphism for each related pair."""
-        namer = namer or (lambda a, b: f"{a}<={b}")
+    def from_poset(poset):
+        """The category with a unique morphism for each related pair,
+        named ``"a<=b"``."""
         objects = list(poset.elements)
         morphs = []
         names = {}
         for a in objects:
             for b in objects:
                 if poset.leq(a, b):
-                    n = namer(a, b)
+                    n = f"{a}<={b}"
                     names[(a, b)] = n
                     morphs.append(Morphism(n, a, b))
         idents = {a: names[(a, a)] for a in objects}

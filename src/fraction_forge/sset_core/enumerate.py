@@ -129,26 +129,6 @@ def enumerate_maps(A, X, partial=None, edge_ok=None, limit=None):
     return [SMap(A, X, asg) for asg in found]
 
 
-def extensions(f, B, X, edge_ok=None):
-    """Extensions to ``B`` of a map defined on a subcomplex of ``B``."""
-    return enumerate_maps(B, X, partial=dict(f.assignment), edge_ok=edge_ok)
-
-
-def find_isomorphism(A, B):
-    """First isomorphism ``A -> B`` in enumeration order, or None.
-
-    An isomorphism sends the non-degenerate cells of ``A`` bijectively onto
-    those of ``B``.
-    """
-    if [len(cs) for cs in A.cells] != [len(cs) for cs in B.cells]:
-        return None
-    for asg in _maps(A, B, {}, None):
-        if all(s.nondegenerate for s in asg.values()) \
-                and len({s.cell for s in asg.values()}) == len(asg):
-            return SMap(A, B, asg)
-    return None
-
-
 @dataclass
 class Check:
     """Outcome of a decidable check, with a witness on failure (or, where

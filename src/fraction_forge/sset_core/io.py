@@ -46,20 +46,17 @@ def stringified_sset(X):
     cells = [[ren[c] for c in cs] for cs in X.cells]
     faces = {ren[c]: [Simplex(s.op, ren[s.cell]) for s in fs]
              for c, fs in X.faces.items()}
-    return SSet(X.dim_bound, cells, faces), ren
+    return SSet(X.dim_bound, cells, faces)
 
 
-def sset_to_dict(X, marked=None):
-    Y, ren = stringified_sset(X)
-    d = {
+def sset_to_dict(X):
+    Y = stringified_sset(X)
+    return {
         "dim_bound": Y.dim_bound,
         "cells": [list(cs) for cs in Y.cells],
         "faces": {c: [[word_from_surj(s.op), s.cell] for s in fs]
                   for c, fs in sorted(Y.faces.items())},
     }
-    if marked is not None:
-        d["marked"] = sorted(ren[c] for c in marked)
-    return d
 
 
 def sset_from_dict(d, where="<input>"):

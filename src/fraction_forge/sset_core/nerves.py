@@ -107,11 +107,9 @@ def nerve_map(vertex_map, A, B):
     return SMap(A, B, asg)
 
 
-def simplex_map(phi, m, n, src=None, dst=None):
+def simplex_map(phi, m, n):
     """Map of standard simplices induced by a monotone map ``phi: [m] -> [n]``."""
-    src = src if src is not None else standard_simplex(m)
-    dst = dst if dst is not None else standard_simplex(n)
-    return nerve_map(lambda i: phi[i], src, dst)
+    return nerve_map(lambda i: phi[i], standard_simplex(m), standard_simplex(n))
 
 
 def normalize_chain(cat, morphs, base_object):
@@ -165,19 +163,3 @@ def nerve_category(cat, bound):
         prev = cur
     return SSet(bound, cells, faces)
 
-
-def map_to_nerve(src, dst, vertex_image):
-    """Simplicial map into a poset nerve determined by vertex images.
-
-    ``vertex_image`` sends a 0-cell of ``src`` to a 0-cell of the chain
-    nerve ``dst``; each higher cell maps to the normal form of the image
-    of its vertex sequence.
-    """
-    asg = {}
-    for d, cs in enumerate(src.cells):
-        for c in cs:
-            asg[c] = _chain_image([vertex_image(src.apply_cell(c, (i,)).cell)[0]
-                                   for i in range(d + 1)], dst)
-    f = SMap(src, dst, asg)
-    f.validate()
-    return f

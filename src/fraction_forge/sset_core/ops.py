@@ -8,10 +8,6 @@ form is the strictly decreasing list of positions ``i`` with
 """
 
 
-def is_monotone(op):
-    return all(op[i] <= op[i + 1] for i in range(len(op) - 1))
-
-
 def is_surjection(op, m):
     """True if ``op`` is a monotone surjection onto ``[m]``."""
     if not op or op[0] != 0 or op[-1] != m:

@@ -35,7 +35,7 @@ class SSet:
     Operations above ``dim_bound`` raise ``ValueError``.
     """
 
-    def __init__(self, dim_bound, cells, faces, check=True):
+    def __init__(self, dim_bound, cells, faces):
         self.dim_bound = dim_bound
         self.cells = [list(cs) for cs in cells]
         while len(self.cells) <= dim_bound:
@@ -53,8 +53,7 @@ class SSet:
         # valid because an SSet is never mutated after construction
         self._nf_memo = {}
         self._face_index = {}
-        if check:
-            self.validate()
+        self.validate()
 
     # -- basic queries ---------------------------------------------------
 
@@ -74,9 +73,6 @@ class SSet:
     def face(self, cell, i):
         """Stored i-th face of a non-degenerate cell, as a Simplex."""
         return self.faces[cell][i]
-
-    def vertex(self, cell_name):
-        return Simplex(identity_op(0), cell_name)
 
     # -- operator actions ------------------------------------------------
 
@@ -99,10 +95,6 @@ class SSet:
                                  self._dim[fs.cell])
         inner_surj, _ = epi_mono_factor(compose(fs.op, image2))
         return compose(s2, inner_surj), c2
-
-    def apply(self, simplex, op):
-        """Normal form of ``simplex . op``."""
-        return self.apply_cell(simplex.cell, compose(simplex.op, op))
 
     def simplex_face(self, simplex, i):
         n = simplex.dim
@@ -201,13 +193,6 @@ class SMap:
                     if want != got:
                         raise ValueError(
                             f"map does not commute with face {i} of {c!r}")
-
-    def is_valid(self):
-        try:
-            self.validate()
-        except ValueError:
-            return False
-        return True
 
     def serialize(self):
         """Canonical hashable form, for dedup and deterministic ordering."""

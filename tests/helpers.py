@@ -1,0 +1,46 @@
+"""Small constructions the unit tests need and the program does not:
+isomorphism search, maps into poset nerves given on vertices, and the
+marking test for a map."""
+
+from fraction_forge.sset_core.enumerate import enumerate_maps
+from fraction_forge.sset_core.nerves import _chain_image
+from fraction_forge.sset_core.sset import SMap
+
+
+def find_isomorphism(A, B):
+    """First isomorphism ``A -> B`` in enumeration order, or None.
+
+    An isomorphism sends the non-degenerate cells of ``A`` bijectively onto
+    those of ``B``.
+    """
+    if [len(cs) for cs in A.cells] != [len(cs) for cs in B.cells]:
+        return None
+    for f in enumerate_maps(A, B):
+        images = f.assignment.values()
+        if all(s.nondegenerate for s in images) \
+                and len({s.cell for s in images}) == len(images):
+            return f
+    return None
+
+
+def map_to_nerve(src, dst, vertex_image):
+    """Simplicial map into a poset nerve determined by vertex images.
+
+    ``vertex_image`` sends a 0-cell of ``src`` to a 0-cell of the chain
+    nerve ``dst``; each higher cell maps to the normal form of the image
+    of its vertex sequence.
+    """
+    asg = {}
+    for d, cs in enumerate(src.cells):
+        for c in cs:
+            asg[c] = _chain_image([vertex_image(src.apply_cell(c, (i,)).cell)[0]
+                                   for i in range(d + 1)], dst)
+    f = SMap(src, dst, asg)
+    f.validate()
+    return f
+
+
+def smap_is_marked(f, ma, mx):
+    """True if ``f`` sends every marked edge of ``ma`` to a marked edge of
+    ``mx``."""
+    return all(mx.is_marked(f.on_cell(c)) for c in ma.marked)

@@ -3,7 +3,7 @@ runtime budget, driven by the shipped corpus."""
 
 import json
 import time
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,8 @@ from fraction_forge.dht import (
     vertex_cube,
     walk_cube,
 )
-from fraction_forge.exfunctor import compare_with_kan_ex
+from fraction_forge.exfunctor import (Sd_plus, compare_with_kan_ex, ex_plus,
+                                      ex_to_sset)
 from fraction_forge.fractions import (
     build_sihd_jk,
     build_sihd_prodjoin,
@@ -34,6 +35,7 @@ from fraction_forge.fractions import (
     validate_sihd,
 )
 from fraction_forge.localize import (
+    colimit_preservation_probe,
     colimit_vs_gz,
     compare_localizations,
     gz_left_fractions,
@@ -43,11 +45,13 @@ from fraction_forge.localize import (
 from fraction_forge.marked import (
     MarkedCategory,
     cat_is_two_out_of_three,
+    enumerate_marked_maps,
     iso_marking,
     nerve_marked,
 )
 from fraction_forge.fractions import check_clf_classical
-from fraction_forge.sset_core import boundary, horn, nerve_category, standard_simplex
+from fraction_forge.sset_core import (boundary, enumerate_maps, horn,
+                                     nerve_category, standard_simplex)
 from fraction_forge.sset_core.cat import FinCategory, Poset
 
 CORPUS = cli.corpus_path()
@@ -96,7 +100,8 @@ def test_criterion_1_equivalence_theorem_suite():
 
 def test_criterion_2_three_way_localization():
     start = time.monotonic()
-    ran = 0
+    ran = probed = 0
+    no_colimit = []
     for name, mc, expect in corpus_cats():
         if not expect["proper_clf"]:
             continue
@@ -108,7 +113,28 @@ def test_criterion_2_three_way_localization():
             for y in mc.cat.objects:
                 assert colimit_vs_gz(mc, x, y, gz=gz).ok, (name, x, y)
                 assert pi0_mapping_check(mc, x, y, gz=gz).ok, (name, x, y)
-    assert ran >= 5
+        # the colimits of C, over every parallel pair and every span,
+        # survive localization
+        C = mc.cat
+        for f, g in product(sorted(C.morphism_names()), repeat=2):
+            if C.dom(f) != C.dom(g):
+                continue
+            for kind in ("coeq", "pushout"):
+                if kind == "coeq" and C.cod(f) != C.cod(g):
+                    continue
+                try:
+                    res = colimit_preservation_probe(mc, (kind, f, g))
+                except ValueError as e:
+                    assert "no colimit in C" in str(e), (name, kind, f, g)
+                    no_colimit.append((name, kind, f, g))
+                    continue
+                assert res.ok, (name, kind, f, g, res.witness)
+                probed += 1
+    assert ran >= 5 and probed >= 400
+    # f, g: a => b has neither a coequalizer nor, as a span, a pushout
+    assert no_colimit == [("parallel_pair_unmarked.json", kind, *fg)
+                          for fg in (("f", "g"), ("g", "f"))
+                          for kind in ("coeq", "pushout")]
     budget(start, 120, "three-way localization")
 
 
@@ -127,6 +153,18 @@ def test_criterion_3_kan_ex_recovery():
     for X in inputs:
         res = compare_with_kan_ex(X, levels=2)
         assert res.ok, res.witness
+    # the adjunction Sd₊ ⊣ Ex₊: marked maps Sd₊X -> Y and maps X -> Ex₊Y
+    # are equinumerous
+    shapes = [standard_simplex(1), standard_simplex(2), boundary(2),
+              horn(2, 1), horn(2, 0)]
+    cats = {name: mc for name, mc, _ in corpus_cats()}
+    for name in ("chain1_marked", "chain2_marked_01", "walking_iso_u_marked",
+                 "span_w_marked", "parallel_pair_one_marked"):
+        mY = nerve_marked(cats[f"{name}.json"], 2)
+        EX, _ = ex_to_sset(ex_plus(mY, levels=2))
+        for X in shapes:
+            assert len(enumerate_marked_maps(Sd_plus(X), mY)) \
+                == len(enumerate_maps(X, EX)), (name, X)
     budget(start, 10, "Kan Ex recovery")
 
 

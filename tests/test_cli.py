@@ -34,7 +34,9 @@ def msset_file(tmp_path):
                                               lambda a, b: a <= b))
     mN = nerve_marked(MarkedCategory(C, {"0<=1"}), 3)
     p = tmp_path / "msset.json"
-    p.write_text(ffio.dumps(ffio.sset_to_dict(mN.base, marked=mN.marked)))
+    d = ffio.sset_to_dict(mN.base)
+    d["marked"] = sorted(map(ffio.stringify, mN.marked))
+    p.write_text(ffio.dumps(d))
     return str(p)
 
 
@@ -44,7 +46,7 @@ def test_fractions_check_pass(capsys):
     code, out = run(capsys, "fractions", "check",
                     "--input", cat_file("chain1_marked"), "--mode", "proper")
     assert code == 0 and out["ok"] is True
-    assert out["timing"] is None and out["input_digests"]
+    assert "timing" not in out and out["input_digests"]
 
 
 def test_fractions_check_fail_with_witness(capsys):
@@ -298,6 +300,25 @@ def test_graph_a1(capsys):
     assert out["oracle_classes"] == 3
 
 
+def test_graph_a1_integer_vertices(capsys, tmp_path):
+    # --base names an integer vertex by its decimal form
+    d = json.loads(Path(graph_file("cycle5")).read_text())
+    ints = {"vertices": list(range(5)),
+            "edges": [[int(u), int(v)] for u, v in d["edges"]]}
+    ambiguous = {"vertices": [*range(5), "0"],
+                 "edges": [*ints["edges"], [0, "0"]]}
+    inputs = [graph_file("cycle5")]
+    for name, graph in (("ints", ints), ("ambiguous", ambiguous)):
+        inputs.append(str(tmp_path / f"{name}.json"))
+        Path(inputs[-1]).write_text(json.dumps(graph))
+    outs = [run(capsys, "graph", "a1", "--input", p, "--base", "0")
+            for p in inputs]
+    # the ambiguous graph is refused: "0" fits both 0 and "0"
+    assert [code for code, _ in outs] == [0, 0, 2]
+    del outs[0][1]["input_digests"], outs[1][1]["input_digests"]
+    assert outs[0][1] == outs[1][1]
+
+
 def test_graph_nerve_box(capsys, tmp_path):
     box = tmp_path / "box.json"
     box.write_text(json.dumps({
@@ -365,6 +386,25 @@ def test_export_dot_marked_styling(capsys):
     assert code == 0
     assert out.count("->") == 2
     assert out.count("style=bold") == 2
+
+
+def test_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    p = tmp_path / "quoted.json"
+    p.write_text(ffio.dumps({
+        "objects": ['a"b', "c\\"], "identities": {'a"b': "i", "c\\": "j"},
+        "morphisms": [{"id": "i", "dom": 'a"b', "cod": 'a"b'},
+                      {"id": "j", "dom": "c\\", "cod": "c\\"},
+                      {"id": "f", "dom": 'a"b', "cod": "c\\"}],
+        "comp": [], "marked": ["f"]}))
+    edge = '  "a\\"b" -> "c\\\\" [label='
+    code, out = run(capsys, "export", "dot", "--input", str(p))
+    assert code == 0
+    assert out.splitlines()[1:4] == ['  "a\\"b";', '  "c\\\\";',
+                                     edge + '"f" style=bold color=blue];']
+    dot = tmp_path / "gz.dot"
+    assert run(capsys, "localize", "gz", "--input", str(p),
+               "--emit-dot", str(dot))[0] == 0
+    assert edge + '"f/j"];' in dot.read_text().splitlines()
 
 
 def test_export_dot_empty_category(capsys, tmp_path):

@@ -10,15 +10,15 @@ from fraction_forge.fractions import (
     check_crf_classical,
     check_crf_infty,
     check_proper_clf,
-    coequalize_many,
-    flip_iso,
     has_rlp,
     retract_check,
     shape,
     validate_sihd,
 )
 from fraction_forge.marked import MarkedCategory, nerve_marked, opposite_marked
+from fraction_forge.sset_core.build import opposite_sset
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
+from fraction_forge.sset_core.sset import SMap, Simplex
 
 
 def fs(*xs):
@@ -50,7 +50,16 @@ def test_shape_2_2_left_fully_marked():
 
 
 def test_shape_flip():
-    f = flip_iso(2, 1)
+    # (L-I^2_1)^op is isomorphic to R-I^2_1 by i -> 2 - i: chains
+    # reversed, subsets flipped
+    n, k = 2, 1
+    Lop = opposite_sset(shape(n, k, "L", "I").base)
+    R = shape(n, n - k, "R", "I")
+    f = SMap(Lop, R.base, {
+        chain: Simplex(tuple(range(d + 1)),
+                       tuple(frozenset(n - i for i in A)
+                             for A in reversed(chain)))
+        for d, cs in enumerate(Lop.cells) for chain in cs})
     f.validate()
     R = shape(1, 0, "R", "I")
     assert counts(R.base)[:2] == [2, 1]
@@ -128,16 +137,6 @@ def test_clf_condition_three():
     mc = MarkedCategory(C, {"u"})
     res = check_clf_classical(mc)
     assert not res.ok and res.witness["condition"] == 3
-
-
-def test_coequalize_many():
-    C = poset_cat([0, 1], lambda a, b: a <= b)
-    mc = MarkedCategory(C, set(C.morphism_names()))
-    f = next(m for m in C.morphism_names() if C.dom(m) != C.cod(m))
-    res = coequalize_many(mc, [(f, f)])
-    assert res.ok and C.is_identity(res.witness["u"])
-    with pytest.raises(ValueError):
-        coequalize_many(mc, [])
 
 
 # -- infinity-categorical calculus --------------------------------------

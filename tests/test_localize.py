@@ -1,6 +1,7 @@
 import pytest
 
 from fraction_forge.localize import (
+    _slice,
     colimit_preservation_probe,
     colimit_vs_gz,
     compare_localizations,
@@ -9,20 +10,17 @@ from fraction_forge.localize import (
     gz_left_fractions,
     gz_right_fractions,
     ho_of_qcat,
-    ho_well_defined_check,
     hom_via_colimit,
     is_filtered_category,
-    localization_inverts,
     marked_coslice_category,
-    marked_slice_under,
     pi0,
     pi0_mapping_check,
     slice_filtered_check,
-    zigzag_oracle,
 )
 from fraction_forge.marked import MarkedCategory, nerve_marked
 from fraction_forge.sset_core import nerve_category, standard_simplex
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
+from reference_localize import zigzag_oracle
 
 
 def chain_cat(n):
@@ -57,7 +55,6 @@ def test_ho_of_nerve_roundtrip():
         for x in C.objects:
             for y in C.objects:
                 assert hom_size(ho, ("v", x), ("v", y)) == hom_size(C, x, y)
-        assert ho_well_defined_check(N).ok
 
 
 def test_ho_of_simplex():
@@ -92,7 +89,6 @@ def test_gz_walking_marked_arrow_is_walking_iso():
     for x in ("x", "y"):
         for y in ("x", "y"):
             assert hom_size(cat, x, y) == 1
-    assert localization_inverts(mc, cat, info).ok
     w_cls = info["canonical"]("w")
     assert cat.is_iso(w_cls)
 
@@ -130,7 +126,9 @@ def test_gz_against_zigzag_oracle():
 
 
 def test_zigzag_oracle_stabilizes():
-    # longer words provably reduce: the quotient is stable at length 5
+    # on these inputs the count is the same at lengths 5 and 6; that is
+    # checked here, not proven, and it does not hold for every input
+    # (see ``zigzag_oracle``)
     for mc in (walking_marked_arrow(), marked_segment_poset()):
         for x in mc.cat.objects:
             for y in mc.cat.objects:
@@ -140,12 +138,8 @@ def test_zigzag_oracle_stabilizes():
 
 def test_gz_completion_order_independent():
     mc = marked_segment_poset()
-    one, _ = gz_left_fractions(mc, completion_order="forward")
-    two, _ = gz_left_fractions(mc, completion_order="reverse")
-    for x in mc.cat.objects:
-        for y in mc.cat.objects:
-            assert hom_size(one, x, y) == hom_size(two, x, y)
-    # exhaustive well-definedness mode agrees
+    one, _ = gz_left_fractions(mc)
+    # composing over every representative and every completion agrees
     three, _ = gz_left_fractions(mc, exhaustive=True)
     for x in mc.cat.objects:
         for y in mc.cat.objects:
@@ -205,35 +199,15 @@ def test_marked_coslice_filtered():
 
 # -- slices and fraction spaces -----------------------------------------
 
-def test_marked_slice_under_point():
-    N = nerve_category(chain_cat(0), 3)
-    ms, proj = marked_slice_under(MarkedCategory_nerve(N), ("v", 0))
-    assert [len(cs) for cs in ms.base.cells][0] == 1
-
-
-def MarkedCategory_nerve(N):
-    from fraction_forge.marked import MarkedSSet
-    return MarkedSSet(N, set())
-
-
-def test_marked_slice_under_walking_arrow():
-    mN = nerve_marked(walking_marked_arrow(), 3)
-    ms, proj = marked_slice_under(mN, ("v", "x"))
-    # two vertices: the identity cylinder and the w cylinder
-    assert len(ms.base.cells[0]) == 2
-    targets = {proj[v].cell for v in ms.base.cells[0]}
-    assert targets == {("v", "x"), ("v", "y")}
-
-
 def test_fraction_space_walking_arrow():
     mN = nerve_marked(walking_marked_arrow(), 3)
-    LFxy = fraction_space_LF(mN, ("v", "x"), ("v", "y"), bound=1)
-    LFyx = fraction_space_LF(mN, ("v", "y"), ("v", "x"), bound=1)
+    LFxy = fraction_space_LF(mN, ("v", "x"), ("v", "y"))
+    LFyx = fraction_space_LF(mN, ("v", "y"), ("v", "x"))
     assert len(LFxy.base.cells[0]) == 1
     assert len(LFyx.base.cells[0]) == 1
     comps, _ = pi0(LFyx.base)
     assert len(comps) == 1
-    RF = fraction_space_RF(mN, ("v", "x"), ("v", "y"), bound=1)
+    RF = fraction_space_RF(mN, ("v", "x"), ("v", "y"))
     assert len(RF.base.cells[0]) >= 1
 
 
@@ -251,19 +225,14 @@ LF_SHAPES = {
         (3, 3): ([1, 0], 0)},
 }
 
-# cells per dimension, marked edges and sorted projection targets of the
-# marked slice under x, bound 2
-SLICE_SHAPES = {
+# sorted ends of the vertices of the marked slice under x: one for each
+# marked arrow out of x, identities included
+SLICE_ENDS = {
     "walking_marked_arrow": {
-        "x": ([2, 1, 0], 1, [((0,), ("v", "x")), ((0,), ("v", "y")),
-                             ((0, 1), ("c", "w"))]),
-        "y": ([1, 0, 0], 0, [((0,), ("v", "y"))])},
+        "x": [("v", "x"), ("v", "y")], "y": [("v", "y")]},
     "marked_segment_poset": {
-        0: ([1, 0, 0], 0, [((0,), ("v", 0))]),
-        1: ([2, 1, 0], 1, [((0,), ("v", 1)), ((0,), ("v", 2)),
-                           ((0, 1), ("c", "1<=2"))]),
-        2: ([1, 0, 0], 0, [((0,), ("v", 2))]),
-        3: ([1, 0, 0], 0, [((0,), ("v", 3))])},
+        0: [("v", 0)], 1: [("v", 1), ("v", 2)], 2: [("v", 2)],
+        3: [("v", 3)]},
 }
 
 
@@ -273,14 +242,12 @@ def test_fraction_space_and_slice_structure(name):
           "marked_segment_poset": marked_segment_poset}[name]()
     mN = nerve_marked(mc, 3)
     for (x, y), (cells, marked) in LF_SHAPES[name].items():
-        LF = fraction_space_LF(mN, ("v", x), ("v", y), bound=1)
+        LF = fraction_space_LF(mN, ("v", x), ("v", y))
         assert ([len(cs) for cs in LF.base.cells], len(LF.marked)) \
             == (cells, marked), (x, y)
-    for x, (cells, marked, targets) in SLICE_SHAPES[name].items():
-        ms, proj = marked_slice_under(mN, ("v", x), bound=2)
-        assert [len(cs) for cs in ms.base.cells] == cells, x
-        assert len(ms.marked) == marked, x
-        assert sorted((s.op, s.cell) for s in proj.values()) == targets, x
+    for x, ends in SLICE_ENDS[name].items():
+        lm, end = _slice(mN, ("v", x))
+        assert sorted(end[s].cell for s in lm.levels[0]) == ends, x
 
 
 def test_right_fraction_space_matches_gz():
@@ -289,7 +256,7 @@ def test_right_fraction_space_matches_gz():
     right, _ = gz_right_fractions(mc)
     for x in mc.cat.objects:
         for y in mc.cat.objects:
-            RF = fraction_space_RF(mN, ("v", x), ("v", y), bound=1)
+            RF = fraction_space_RF(mN, ("v", x), ("v", y))
             assert len(pi0(RF.base)[0]) == hom_size(right, x, y), (x, y)
 
 

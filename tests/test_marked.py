@@ -1,23 +1,18 @@
 import pytest
 
-from fraction_forge.localize import natural_marking
+from fraction_forge.localize import ho_of_qcat
 from fraction_forge.marked import (
     MarkedCategory,
     MarkedSSet,
     cat_is_two_out_of_three,
     cylinder,
     enumerate_marked_maps,
-    is_marked_homotopy,
-    is_strongly_closed,
-    is_two_out_of_three,
     is_weakly_closed,
     iso_marking,
-    marked_core,
     maximal_marking,
     minimal_marking,
     nerve_marked,
     opposite_marked,
-    smap_is_marked,
 )
 from fraction_forge.sset_core import (
     boundary,
@@ -26,7 +21,8 @@ from fraction_forge.sset_core import (
     standard_simplex,
 )
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
-from fraction_forge.sset_core.sset import Simplex
+from fraction_forge.sset_core.sset import Simplex, SMap
+from helpers import smap_is_marked
 
 
 def counts(X):
@@ -81,22 +77,14 @@ def test_iso_and_natural_marking_agree_on_nerves():
     C = walking_iso()
     mc = iso_marking(C)
     assert mc.marked == {"ia", "ib", "u", "v"}
+    # the natural marking: the edges invertible in the homotopy category
     N = nerve_category(C, 3)
-    nat = natural_marking(N)
-    assert nat.marked == {("c", "u"), ("c", "v")}
+    ho, cls = ho_of_qcat(N)
+    assert {c for c in N.cells[1] if ho.is_iso(cls(Simplex((0, 1), c)))} \
+        == {("c", "u"), ("c", "v")}
     # non-quasicategory input is refused
     with pytest.raises(ValueError):
-        natural_marking(horn(2, 1, bound=2))
-
-
-def test_marked_core():
-    C = chain_cat(2)
-    mc = MarkedCategory(C, {f for f in C.morphism_names()
-                            if f.startswith("0<=1") or C.is_identity(f)})
-    mN = nerve_marked(mc, 2)
-    core = marked_core(mN)
-    # only the 0<=1 edge survives together with all vertices
-    assert counts(core.base)[:2] == [3, 1]
+        ho_of_qcat(horn(2, 1, bound=2))
 
 
 def test_closure_properties():
@@ -104,16 +92,11 @@ def test_closure_properties():
     all_marked = MarkedCategory(C, set(C.morphism_names()))
     mN = nerve_marked(all_marked, 3)
     assert is_weakly_closed(mN)
-    assert is_strongly_closed(mN)
-    assert is_two_out_of_three(mN)
     assert cat_is_two_out_of_three(all_marked)
     # mark 0 -> 1 and the composite 0 -> 2 but not 1 -> 2: fails
     lop = MarkedCategory(C, {"0<=1", "0<=2"})
     res = cat_is_two_out_of_three(lop)
     assert not res.ok
-    mN2 = nerve_marked(lop, 3)
-    res2 = is_two_out_of_three(mN2)
-    assert not res2.ok and res2.witness["unmarked"].dim == 1
 
 
 def test_weakly_closed_failure_witness():
@@ -150,10 +133,10 @@ def test_cylinder_and_homotopy():
     vertical = [c for c in cyl.base.cells[1] if len(set(c[1])) == 1]
     assert vertical and all(c in cyl.marked for c in vertical)
     # the projection X x D1 -> X is a marked homotopy from id to id
-    from fraction_forge.sset_core.build import product_projections
-    D1 = standard_simplex(1, bound=2)
-    p1, _ = product_projections(mN.base, D1, cyl.base)
-    assert is_marked_homotopy(p1, mN, mN).ok
+    p1 = SMap(cyl.base, mN.base, {c: Simplex(c[1], c[2])
+                                  for cs in cyl.base.cells for c in cs})
+    p1.validate()
+    assert smap_is_marked(p1, cyl, mN)
 
 
 def test_opposite_marked_involution():

@@ -3,8 +3,6 @@ import pytest
 from fraction_forge.sset_core import (
     boundary,
     enumerate_maps,
-    extensions,
-    find_isomorphism,
     horn,
     io,
     is_quasicategory_upto,
@@ -19,6 +17,7 @@ from fraction_forge.sset_core import (
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
 from fraction_forge.sset_core.ops import surj_from_word, word_from_surj
 from fraction_forge.sset_core.sset import Simplex, SSet, surjections
+from helpers import find_isomorphism
 
 
 def counts(X):
