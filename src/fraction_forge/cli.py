@@ -39,8 +39,7 @@ from .fractions import (
 from .localize import (
     colimit_vs_gz,
     compare_localizations,
-    fraction_space_LF,
-    fraction_space_RF,
+    fraction_spaces,
     gz_left_fractions,
     gz_right_fractions,
     pi0,
@@ -278,15 +277,16 @@ def cmd_mapspace(args):
     res = _fraction_condition(mc, args.side)
     if not res.ok:
         return _unmet("mapspace", res, digests, side=args.side)
-    mN = nerve_marked(mc, 3)
-    space = fraction_space_LF if args.side == "L" else fraction_space_RF
+    objects = sorted(mc.cat.objects, key=ffio.stringify)
+    spaces = fraction_spaces(nerve_marked(mc, 3),
+                             [("v", x) for x in objects], args.side)
     gz = (gz_left_fractions(mc) if args.side == "L"
           else gz_right_fractions(mc))
     table = {}
     ok = True
-    for x in sorted(mc.cat.objects, key=ffio.stringify):
-        for y in sorted(mc.cat.objects, key=ffio.stringify):
-            comps, _ = pi0(space(mN, ("v", x), ("v", y)).base)
+    for x in objects:
+        for y in objects:
+            comps, _ = pi0(spaces[(("v", x), ("v", y))].base)
             gz_size = len(gz[0].hom(x, y))
             key = f"{ffio.stringify(x)}->{ffio.stringify(y)}"
             table[key] = {"pi0": len(comps), "gz": gz_size}

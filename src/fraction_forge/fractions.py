@@ -56,66 +56,71 @@ def has_rlp(mx, n, k, side="L"):
 
 # -- classical calculus of fractions ------------------------------------
 
-def check_clf_classical(mc):
-    """Conditions (1)-(3) of the classical calculus of left fractions."""
+def _marked_tables(mc):
+    """The marked arrows W (identities included), sorted, and the sorted
+    lists of those out of and into each object."""
     C = mc.cat
     W = effective_marking(mc)
+    ordered = sorted(W)
+    out = {x: [] for x in C.objects}
+    into = {x: [] for x in C.objects}
+    for w in ordered:
+        out[C.dom(w)].append(w)
+        into[C.cod(w)].append(w)
+    return W, ordered, out, into
+
+
+def check_clf_classical(mc):
+    """Conditions (1)-(3) of the classical calculus of left fractions."""
+    return _classical(mc.cat, *_marked_tables(mc))
+
+
+def _classical(C, W, ordered, out, into):
+    # outer loops keep sorted order: the first witness is a full scan's
     # (1) closure under composition (identities are implicit)
-    for w in sorted(W):
-        for v in sorted(W):
-            if C.dom(v) == C.cod(w) and C.compose(v, w) not in W:
+    for w in ordered:
+        for v in out[C.cod(w)]:
+            if C.compose(v, w) not in W:
                 return Check(False, {"condition": 1, "pair": (w, v)})
     # (2) span completion
-    for f in sorted(C.morphism_names()):
-        for w in sorted(W):
-            if C.dom(w) != C.dom(f):
-                continue
-            if not _completions(mc, f, w):
+    names = sorted(C.morphism_names())
+    for f in names:
+        for w in out[C.dom(f)]:
+            if not _completes(C, f, w, out):
                 return Check(False, {"condition": 2, "span": (f, w)})
     # (3) coequalizing marked arrows
-    for f in sorted(C.morphism_names()):
-        for g in sorted(C.morphism_names()):
-            if f >= g or C.dom(f) != C.dom(g) or C.cod(f) != C.cod(g):
+    for f in names:
+        x, y = C.dom(f), C.cod(f)
+        for g in sorted(C.hom(x, y)):
+            if g <= f or not any(C.compose(f, w) == C.compose(g, w)
+                                 for w in into[x]):
                 continue
-            has_w = any(C.compose(f, w) == C.compose(g, w)
-                        for w in sorted(W) if C.cod(w) == C.dom(f))
-            if not has_w:
-                continue
-            has_v = any(C.compose(v, f) == C.compose(v, g)
-                        for v in sorted(W) if C.dom(v) == C.cod(f))
-            if not has_v:
+            if not any(C.compose(v, f) == C.compose(v, g) for v in out[y]):
                 return Check(False, {"condition": 3, "pair": (f, g)})
     return Check(True)
 
 
-def _completions(mc, f, w):
-    """Squares (f', w') with f'.w = w'.f and w' marked, for a span (f, w)."""
-    C = mc.cat
-    W = effective_marking(mc)
-    out = []
-    for fp in sorted(C.morphism_names()):
-        if C.dom(fp) != C.cod(w):
-            continue
-        for wp in sorted(W):
-            if C.dom(wp) != C.cod(f) or C.cod(wp) != C.cod(fp):
-                continue
-            if C.compose(fp, w) == C.compose(wp, f):
-                out.append((fp, wp))
-    return out
+def _completes(C, f, w, out, among=None):
+    """Whether the span (f, w) has a square f'.w = w'.f with w' marked,
+    and f' in ``among`` if given."""
+    for wp in out[C.cod(f)]:
+        target = C.compose(wp, f)
+        for fp in C.hom(C.cod(w), C.cod(wp)):
+            if C.compose(fp, w) == target and (among is None or fp in among):
+                return True
+    return False
 
 
 def check_proper_clf(mc):
     """CLF plus the properness refinement of condition (2)."""
-    base = check_clf_classical(mc)
+    C, tables = mc.cat, _marked_tables(mc)
+    base = _classical(C, *tables)
     if not base.ok:
         return base
-    C = mc.cat
-    W = effective_marking(mc)
-    for f in sorted(W):
-        for w in sorted(W):
-            if C.dom(w) != C.dom(f):
-                continue
-            if not any(fp in W for fp, wp in _completions(mc, f, w)):
+    W, ordered, out, _ = tables
+    for f in ordered:
+        for w in out[C.dom(f)]:
+            if not _completes(C, f, w, out, among=W):
                 return Check(False, {"condition": "2'", "span": (f, w)})
     return Check(True)
 

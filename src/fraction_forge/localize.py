@@ -368,8 +368,26 @@ def fraction_space_LF(mx, x, y):
     levelwise pullback of the fat slice under x against the marked slice
     under y over X.  The fat slice is the slice of the maximal marking:
     its connecting edges may be any edges."""
-    fat, endx = _slice(maximal_marking(mx.base), x)
-    sl, endy = _slice(mx, y)
+    return _pullback(mx, _slice(maximal_marking(mx.base), x), _slice(mx, y))
+
+
+def fraction_spaces(mx, objects, side="L"):
+    """The spaces of left (side L) or right (side R) fractions between
+    every ordered pair of ``objects``, keyed ``(x, y)``; each slice is
+    built once.  The right fractions from x to y are the left fractions
+    from y to x of the opposite marked simplicial set."""
+    if side == "R":
+        op = fraction_spaces(opposite_marked(mx), objects)
+        return {(x, y): op[(y, x)] for x in objects for y in objects}
+    fat_mx = maximal_marking(mx.base)
+    fat = {x: _slice(fat_mx, x) for x in objects}
+    marked = {y: _slice(mx, y) for y in objects}
+    return {(x, y): _pullback(mx, fat[x], marked[y])
+            for x in objects for y in objects}
+
+
+def _pullback(mx, fat_slice, marked_slice):
+    (fat, endx), (sl, endy) = fat_slice, marked_slice
     levels = [[(sx, sy) for sx in fat.levels[d] for sy in sl.levels[d]
                if endx[sx] == endy[sy]] for d in range(2)]
     sset, _ = from_levels(
@@ -380,12 +398,6 @@ def fraction_space_LF(mx, x, y):
     marked = {cell for cell in sset.cells[1]
               if mx.is_marked(endx[cell[2][0]])}
     return MarkedSSet(sset, marked)
-
-
-def fraction_space_RF(mx, x, y):
-    """Space of right fractions from x to y: the left fractions from y
-    to x of the opposite marked simplicial set."""
-    return fraction_space_LF(opposite_marked(mx), y, x)
 
 
 def pi0(X):

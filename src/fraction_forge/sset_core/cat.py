@@ -1,5 +1,6 @@
 """Finite posets and finite categories with explicit composition tables."""
 
+import weakref
 from dataclasses import dataclass
 
 
@@ -59,6 +60,7 @@ class FinCategory:
             raise ValueError("duplicate morphism names")
         self.identities = dict(identities)
         self.comp = dict(comp)
+        self._hom = self._op = None
         self.validate()
 
     # -- queries ---------------------------------------------------------
@@ -80,8 +82,13 @@ class FinCategory:
         return self.comp[(g, f)]
 
     def hom(self, x, y):
-        return [m.name for m in self.morphisms.values()
-                if m.dom == x and m.cod == y]
+        """The morphisms ``x -> y`` in the order of ``self.morphisms``."""
+        if self._hom is None:
+            self._hom = {}
+            for m in self.morphisms.values():
+                self._hom.setdefault((m.dom, m.cod), []).append(m.name)
+            self._hom = {k: tuple(v) for k, v in self._hom.items()}
+        return self._hom.get((x, y), ())
 
     def morphism_names(self):
         return list(self.morphisms)
@@ -97,11 +104,30 @@ class FinCategory:
     # -- construction ----------------------------------------------------
 
     def opposite(self):
-        morphs = [Morphism(m.name, m.cod, m.dom) for m in self.morphisms.values()]
-        comp = {(f, g): h for (g, f), h in self.comp.items()}
-        return FinCategory(self.objects, morphs, self.identities, comp)
+        """The dual category, built once and shared both ways.  The dual
+        refers back weakly, so the pair forms no reference cycle and is
+        freed with its last user.  It is not validated again: the dual of
+        a category is a category."""
+        op = self._op() if isinstance(self._op, weakref.ref) else self._op
+        if op is None:
+            op = FinCategory.__new__(FinCategory)
+            op.objects, op.identities = list(self.objects), dict(self.identities)
+            op.morphisms = {m.name: Morphism(m.name, m.cod, m.dom)
+                            for m in self.morphisms.values()}
+            op.comp = {(f, g): h for (g, f), h in self.comp.items()}
+            op._hom, op._op, self._op = None, weakref.ref(self), op
+        return op
 
     def validate(self):
+        objects = set(self.objects)
+        if len(objects) != len(self.objects):
+            raise ValueError("duplicate object names")
+        for x in self.identities:
+            if x not in objects:
+                raise ValueError(f"identity given for unknown object {x!r}")
+        for g, f in self.comp:
+            if g not in self.morphisms or f not in self.morphisms:
+                raise ValueError(f"composite of unknown morphisms {g!r}, {f!r}")
         for x in self.objects:
             e = self.identities.get(x)
             if e is None or e not in self.morphisms:
@@ -110,7 +136,7 @@ class FinCategory:
             if m.dom != x or m.cod != x:
                 raise ValueError(f"identity of {x!r} is not an endomorphism")
         for m in self.morphisms.values():
-            if m.dom not in self.objects or m.cod not in self.objects:
+            if m.dom not in objects or m.cod not in objects:
                 raise ValueError(f"morphism {m.name!r} has unknown endpoints")
         for g in self.morphisms.values():
             for f in self.morphisms.values():

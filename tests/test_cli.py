@@ -113,10 +113,20 @@ SRC = str(Path(cli.__file__).resolve().parents[1])
     ("sset", ["fractions", "lift"],
      lambda d: d.update(dim_bound=2, cells=d["cells"][:3])),
     ("cat", ["fractions", "check"], None),
+    *(("cat", argv, lambda d: d["objects"].append(d["objects"][0]))
+      for argv in (["fractions", "check", "--mode", "infty"],
+                   ["localize", "compare"], ["mapspace"])),
+    ("cat", ["fractions", "check"],
+     lambda d: d["identities"].update(ghost=d["morphisms"][0]["id"])),
+    ("cat", ["fractions", "check"],
+     lambda d: d["comp"].append(["ghost"] + [d["morphisms"][0]["id"]] * 2)),
 ], ids=["missing-id", "identities-list", "list-id", "faces-list",
         "list-vertex", "disconnected-graph", "corpus-empty-graph",
         "corpus-disconnected-graph", "ex-levels-above-dim-bound",
-        "lift-below-dim-bound-3", "directory-input"])
+        "lift-below-dim-bound-3", "directory-input",
+        "duplicate-object-infty", "duplicate-object-compare",
+        "duplicate-object-mapspace", "identity-of-unknown-object",
+        "comp-names-unknown-morphism"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, msset_file,
                                                    kind, argv, spoil):
     source = {"cat": cat_file("chain1_marked"), "sset": msset_file,
@@ -183,6 +193,40 @@ def test_graph_a1_loads_neither_numpy_nor_sympy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+PERFBENCH = Path(SRC).parent / "perfbench"
+
+# the benchmark's traced CLI shim imports ``fraction_forge.cli`` alone and
+# then wraps every function its tracer lists, each in the module defining it
+TRACER_INSTALL = """
+import sys
+import fraction_forge.cli
+import spans
+
+def targets():
+    for m, a, _ in spans.TIMED:
+        yield f"{m}.{a}", vars(sys.modules[m])[a]
+    for m, c, a, _ in spans.COUNTED:
+        yield f"{m}.{c}.{a}", vars(getattr(sys.modules[m], c))[a]
+
+originals = dict(targets())
+done = spans.install(spans.Tracer())
+print(sorted(k for k, f in targets() if f is originals[k]))
+spans.restore(done)
+print(sorted(k for k, f in targets() if f is not originals[k]))
+"""
+
+
+def test_benchmark_tracer_installs_after_importing_the_cli_alone():
+    """Every module the tracer lists is one the CLI loads; ``install``
+    wraps every listed function and ``restore`` puts each back."""
+    proc = subprocess.run([sys.executable, "-c", TRACER_INSTALL],
+                          env=dict(os.environ,
+                                   PYTHONPATH=f"{SRC}{os.pathsep}{PERFBENCH}"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 # -- determinism ---------------------------------------------------------

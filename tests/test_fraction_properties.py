@@ -1,0 +1,176 @@
+"""The indexed fraction deciders against the full-scan oracle of
+``tests/reference_fractions.py``, on every marking of the corpus
+categories and on generated ones, and the equivalence theorem
+(1-categorical proper CLF/CRF ⇔ nerve CLF/CRF) on generated categories.
+
+Generated categories are posets of up to 4 elements, the cyclic groups
+ℤ/n and the truncated monoids ℕ/(n = n+1) for n ≤ 4, and products of
+small ones, each with a random marking.  Examples are derandomized, so
+every run checks the same ones.
+"""
+
+from itertools import combinations, product
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import reference_fractions as ref
+from fraction_forge.cli import NERVE_L_SHAPES, NERVE_R_SHAPES, corpus_path
+from fraction_forge.fractions import (
+    check_clf_classical,
+    check_clf_infty,
+    check_crf_classical,
+    check_crf_infty,
+    check_proper_clf,
+    check_proper_crf,
+)
+from fraction_forge.marked import MarkedCategory, nerve_marked
+from fraction_forge.sset_core import io as ffio
+from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
+
+DECIDERS = [(check_clf_classical, ref.check_clf_classical),
+            (check_crf_classical, ref.check_crf_classical),
+            (check_proper_clf, ref.check_proper_clf),
+            (check_proper_crf, ref.check_proper_crf)]
+
+
+def assert_deciders_match(mc):
+    for fast, slow in DECIDERS:
+        got, want = fast(mc), slow(mc)
+        assert (got.ok, got.witness) == (want.ok, want.witness), \
+            (fast.__name__, sorted(mc.marked))
+
+
+CORPUS_CATS = sorted(p.stem for p in (corpus_path() / "cats").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", CORPUS_CATS)
+def test_deciders_match_the_oracle_on_every_corpus_marking(name):
+    C, _ = ffio.load(corpus_path() / "cats" / f"{name}.json", "marked_cat")
+    arrows = [f for f in C.morphism_names() if not C.is_identity(f)]
+    for r in range(len(arrows) + 1):
+        for marked in combinations(arrows, r):
+            assert_deciders_match(MarkedCategory(C, set(marked)))
+
+
+# -- generated categories -----------------------------------------------
+
+def monoid(names, mult):
+    """The one-object category of a finite monoid; ``names[0]`` is the
+    unit and ``mult(i, j)`` the index of ``names[i] . names[j]``."""
+    idx = range(len(names))
+    return FinCategory(["*"], [Morphism(n, "*", "*") for n in names],
+                       {"*": names[0]},
+                       {(names[i], names[j]): names[mult(i, j)]
+                        for i in idx for j in idx})
+
+
+def cyclic(n):
+    return monoid([f"g{i}" for i in range(n)], lambda i, j: (i + j) % n)
+
+
+def truncated_n(n):
+    return monoid([f"t{i}" for i in range(n + 1)], lambda i, j: min(i + j, n))
+
+
+def product_cat(C, D):
+    def obj(x, y):
+        return f"{x}|{y}"
+
+    def mor(f, g):
+        return f"({f},{g})"
+
+    morphs = [Morphism(mor(f.name, g.name), obj(f.dom, g.dom), obj(f.cod, g.cod))
+              for f in C.morphisms.values() for g in D.morphisms.values()]
+    comp = {(mor(f2, g2), mor(f1, g1)): mor(C.compose(f2, f1), D.compose(g2, g1))
+            for (f2, f1) in C.comp for (g2, g1) in D.comp}
+    return FinCategory([obj(x, y) for x in C.objects for y in D.objects], morphs,
+                       {obj(x, y): mor(C.ident(x), D.ident(y))
+                        for x in C.objects for y in D.objects}, comp)
+
+
+@st.composite
+def posets(draw, size):
+    """A poset on ``size`` elements: the transitive closure of a random
+    set of relations i < j."""
+    n = draw(st.integers(1, size))
+    below = {(i, j) for i, j in combinations(range(n), 2) if draw(st.booleans())}
+    for k, i, j in product(range(n), repeat=3):  # k outermost: Warshall
+        if (i, k) in below and (k, j) in below:
+            below.add((i, j))
+    return FinCategory.from_poset(Poset([str(i) for i in range(n)],
+                                        [(str(i), str(j)) for i, j in below]))
+
+
+def atoms(size):
+    return st.one_of(posets(size),
+                     st.integers(1, size).map(cyclic),
+                     st.integers(1, size).map(truncated_n))
+
+
+def products(left, right):
+    return st.tuples(left, right).map(lambda cd: product_cat(*cd))
+
+
+# the nerve deciders take seconds on a marked monoid of order 3 or on a
+# product of a monoid with a poset, so the equivalence theorem is checked
+# on monoids of order 2 and on products of posets
+DECIDER_CATS = st.one_of(atoms(4), products(atoms(2), atoms(2)))
+NERVE_CATS = st.one_of(posets(4), st.integers(1, 2).map(cyclic),
+                       st.just(truncated_n(1)), products(posets(2), posets(2)))
+
+
+@st.composite
+def marked_categories(draw, cats):
+    C = draw(cats)
+    marked = draw(st.sets(st.sampled_from(C.morphism_names())))
+    return MarkedCategory(C, marked)
+
+
+# classical CLF and CRF hold here but properness fails, and the nerve
+# deciders must see it; generation rarely hits such a marking
+PROPERNESS_FAILS = MarkedCategory(
+    product_cat(cyclic(2), FinCategory.from_poset(Poset(["0", "1"],
+                                                        [("0", "1")]))),
+    {"(g0,0<=1)", "(g1,0<=1)"})
+
+SETTINGS = dict(derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(marked_categories(DECIDER_CATS))
+@example(PROPERNESS_FAILS)
+def test_deciders_match_the_oracle_on_generated_categories(mc):
+    C = mc.cat
+    assert C.opposite() is C.opposite()
+    assert C.opposite().opposite() is C
+    assert mc.opposite().cat is C.opposite()
+    C.opposite().validate()
+    assert_deciders_match(mc)
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(marked_categories(NERVE_CATS))
+@example(PROPERNESS_FAILS)
+def test_equivalence_theorem_on_generated_categories(mc):
+    mN = nerve_marked(mc, 3)
+    assert check_proper_clf(mc).ok == check_clf_infty(
+        mN, is_nerve=True, shapes=NERVE_L_SHAPES).ok
+    assert check_proper_crf(mc).ok == check_crf_infty(
+        mN, is_nerve=True, shapes=NERVE_R_SHAPES).ok
+
+
+def test_generators_cover_their_families():
+    assert check_clf_classical(PROPERNESS_FAILS).ok
+    assert check_crf_classical(PROPERNESS_FAILS).ok
+    assert not check_proper_clf(PROPERNESS_FAILS).ok
+    assert len(cyclic(4).morphisms) == 4 and len(truncated_n(3).morphisms) == 4
+    C = product_cat(cyclic(2), FinCategory.from_poset(
+        Poset(["0", "1"], [("0", "1")])))
+    assert (len(C.objects), len(C.morphisms)) == (2, 6)
+    assert C.is_iso("(g1,0<=0)") and not C.is_iso("(g0,0<=1)")
+    for x, y in product(C.objects, repeat=2):
+        assert C.hom(x, y) == tuple(f for f in C.morphism_names()
+                                    if (C.dom(f), C.cod(f)) == (x, y))

@@ -6,7 +6,7 @@ from fraction_forge.localize import (
     colimit_vs_gz,
     compare_localizations,
     fraction_space_LF,
-    fraction_space_RF,
+    fraction_spaces,
     gz_left_fractions,
     gz_right_fractions,
     ho_of_qcat,
@@ -207,8 +207,8 @@ def test_fraction_space_walking_arrow():
     assert len(LFyx.base.cells[0]) == 1
     comps, _ = pi0(LFyx.base)
     assert len(comps) == 1
-    RF = fraction_space_RF(mN, ("v", "x"), ("v", "y"))
-    assert len(RF.base.cells[0]) >= 1
+    RF = fraction_spaces(mN, [("v", "x"), ("v", "y")], "R")
+    assert len(RF[(("v", "x"), ("v", "y"))].base.cells[0]) >= 1
 
 
 # cells per dimension and marked edges of LF(x, y), bound 1
@@ -241,10 +241,12 @@ def test_fraction_space_and_slice_structure(name):
     mc = {"walking_marked_arrow": walking_marked_arrow,
           "marked_segment_poset": marked_segment_poset}[name]()
     mN = nerve_marked(mc, 3)
+    spaces = fraction_spaces(mN, [("v", x) for x in mc.cat.objects])
     for (x, y), (cells, marked) in LF_SHAPES[name].items():
-        LF = fraction_space_LF(mN, ("v", x), ("v", y))
-        assert ([len(cs) for cs in LF.base.cells], len(LF.marked)) \
-            == (cells, marked), (x, y)
+        for LF in (fraction_space_LF(mN, ("v", x), ("v", y)),
+                   spaces[(("v", x), ("v", y))]):
+            assert ([len(cs) for cs in LF.base.cells], len(LF.marked)) \
+                == (cells, marked), (x, y)
     for x, ends in SLICE_ENDS[name].items():
         lm, end = _slice(mN, ("v", x))
         assert sorted(end[s].cell for s in lm.levels[0]) == ends, x
@@ -254,9 +256,10 @@ def test_right_fraction_space_matches_gz():
     mc = marked_segment_poset()
     mN = nerve_marked(mc, 3)
     right, _ = gz_right_fractions(mc)
+    spaces = fraction_spaces(mN, [("v", x) for x in mc.cat.objects], "R")
     for x in mc.cat.objects:
         for y in mc.cat.objects:
-            RF = fraction_space_RF(mN, ("v", x), ("v", y))
+            RF = spaces[(("v", x), ("v", y))]
             assert len(pi0(RF.base)[0]) == hom_size(right, x, y), (x, y)
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from fraction_forge.sset_core import (
@@ -129,6 +132,26 @@ def test_opposite_involution():
         FinCategory.from_poset(Poset.from_leq([0, 1, 2], lambda a, b: a <= b)), 3)
     Y = opposite_sset(opposite_sset(X))
     assert Y.cells == X.cells and Y.faces == X.faces
+
+
+def test_category_dual_is_shared_and_freed_with_its_category():
+    C = FinCategory.from_poset(Poset.from_leq([0, 1], lambda a, b: a <= b))
+    D = C.opposite()
+    assert D is C.opposite() and D.opposite() is C
+    assert (D.hom(1, 0), D.hom(0, 1)) == (("0<=1",), ())
+    gc.disable()
+    try:  # no reference cycle: both go as soon as their users do
+        dual = weakref.ref(D)
+        del D
+        assert dual() is C.opposite()
+        del C
+        assert dual() is None
+    finally:
+        gc.enable()
+    D = FinCategory.from_poset(Poset.from_leq([0, 1], lambda a, b: a <= b)
+                               ).opposite()
+    E = D.opposite()  # its category is gone: built again
+    assert E.hom(0, 1) == ("0<=1",) and E.opposite() is D
 
 
 def test_io_roundtrip():
