@@ -39,11 +39,9 @@ from .fractions import (
 from .localize import (
     colimit_vs_gz,
     compare_localizations,
-    fraction_spaces,
     gz_left_fractions,
     gz_right_fractions,
-    pi0,
-    pi0_mapping_check,
+    pi0_mapping_checks,
     slice_filtered_check,
 )
 from .marked import (
@@ -233,8 +231,8 @@ def cmd_localize_gz(args):
         cat, info = gz_right_fractions(mc)
     if args.emit_dot:
         def label(m):
-            rep = next(c for c, n in info["cls_name"].items() if n == m)
-            return f"{ffio.stringify(rep[0])}/{ffio.stringify(rep[1])}"
+            f, w = info["rep"][m]
+            return f"{ffio.stringify(f)}/{ffio.stringify(w)}"
         Path(args.emit_dot).write_text(export_dot(cat, edge_label=label))
     return _emit(_verdict("localize gz", True, digests, side=args.side,
                           objects=sorted(map(ffio.stringify, cat.objects)),
@@ -277,20 +275,10 @@ def cmd_mapspace(args):
     res = _fraction_condition(mc, args.side)
     if not res.ok:
         return _unmet("mapspace", res, digests, side=args.side)
-    objects = sorted(mc.cat.objects, key=ffio.stringify)
-    spaces = fraction_spaces(nerve_marked(mc, 3),
-                             [("v", x) for x in objects], args.side)
-    gz = (gz_left_fractions(mc) if args.side == "L"
-          else gz_right_fractions(mc))
-    table = {}
-    ok = True
-    for x in objects:
-        for y in objects:
-            comps, _ = pi0(spaces[(("v", x), ("v", y))].base)
-            gz_size = len(gz[0].hom(x, y))
-            key = f"{ffio.stringify(x)}->{ffio.stringify(y)}"
-            table[key] = {"pi0": len(comps), "gz": gz_size}
-            ok = ok and len(comps) == gz_size
+    checks = pi0_mapping_checks(mc, args.side)
+    table = {f"{ffio.stringify(x)}->{ffio.stringify(y)}": check.witness
+             for (x, y), check in checks.items()}
+    ok = all(check.ok for check in checks.values())
     return _emit(_verdict("mapspace", ok, digests, side=args.side,
                           table=table))
 
@@ -413,11 +401,12 @@ def _corpus_cat_report(path):
         if not cmp.ok:
             failures.append("three-way localization comparison failed")
         gzL = gz_left_fractions(mc)
+        pi0s = pi0_mapping_checks(mc)
         for x in mc.cat.objects:
             for y in mc.cat.objects:
                 if not colimit_vs_gz(mc, x, y, gz=gzL).ok:
                     failures.append(f"colimit hom differs at ({x!r},{y!r})")
-                if not pi0_mapping_check(mc, x, y, gz=gzL).ok:
+                if not pi0s[(x, y)].ok:
                     failures.append(f"pi0 mapping differs at ({x!r},{y!r})")
 
     expect = ffio.read_json(path).get("expect", {})

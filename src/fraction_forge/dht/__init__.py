@@ -1,6 +1,5 @@
-"""Discrete homotopy theory of reflexive graphs: box products, hom
-graphs, stable cubes, loop-group presentations, and lazily presented
-path/pullback graphs."""
+"""Discrete homotopy theory of reflexive graphs: stable cubes,
+loop-group presentations, and lazily presented path/pullback graphs."""
 
 from .cubes import (
     StableCube,
@@ -11,17 +10,10 @@ from .cubes import (
 from .graphs import (
     Graph,
     GraphMap,
-    all_graph_maps,
-    box_product,
-    compose_maps,
     cycle,
     graph_from_dict,
     graph_map,
-    hom_graph,
-    homotopy_search,
-    identity_map,
     interval,
-    is_homotopy_equiv_search,
     make_graph,
 )
 from .groups import (
@@ -34,8 +26,6 @@ from .groups import (
 )
 from .lazy import (
     LazyGraph,
-    double_mapping_path_lazy,
-    double_path_identity_probe,
     line_canon,
     line_ends,
     line_value,
@@ -46,13 +36,10 @@ from .lazy import (
 
 __all__ = [
     "Graph", "GraphMap", "GroupPresentation", "LazyGraph", "StableCube",
-    "a1_bfs_oracle", "a1_presentation", "abelianization_rank",
-    "all_graph_maps", "box_product", "compose_maps", "cycle",
-    "double_mapping_path_lazy", "double_path_identity_probe",
-    "free_reduce", "graph_from_dict", "graph_map", "hom_graph",
-    "homotopy_search", "identity_map", "interval",
-    "is_homotopy_equiv_search", "is_trivial_presentation", "line_canon",
-    "line_ends", "line_value", "make_graph", "open_box_filler_search",
-    "path_graph_lazy", "pullback_graph_lazy", "pullback_square_probe",
-    "vertex_cube", "walk_cube",
+    "a1_bfs_oracle", "a1_presentation", "abelianization_rank", "cycle",
+    "free_reduce", "graph_from_dict", "graph_map", "interval",
+    "is_trivial_presentation", "line_canon", "line_ends", "line_value",
+    "make_graph", "open_box_filler_search", "path_graph_lazy",
+    "pullback_graph_lazy", "pullback_square_probe", "vertex_cube",
+    "walk_cube",
 ]

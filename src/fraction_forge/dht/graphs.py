@@ -1,4 +1,4 @@
-"""Reflexive graphs, box products, hom graphs, and homotopy search.
+"""Reflexive graphs and graph maps.
 
 A graph is a vertex set with a symmetric adjacency relation; the
 reflexive loops are implicit and never stored.  Maps may collapse edges
@@ -6,9 +6,6 @@ reflexive loops are implicit and never stored.  Maps may collapse edges
 """
 
 from dataclasses import dataclass
-from itertools import product
-
-from ..sset_core.enumerate import Check
 
 
 @dataclass(frozen=True)
@@ -92,20 +89,6 @@ def cycle(m):
     return make_graph(range(m), [(i, (i + 1) % m) for i in range(m)])
 
 
-def box_product(G, H):
-    """Vertices G x H; change one coordinate along an edge at a time."""
-    vertices = [(v, w) for v in G.vertices for w in H.vertices]
-    edges = set()
-    for v, w in vertices:
-        for v2 in G.neighbors(v):
-            if v2 != v:
-                edges.add(frozenset(((v, w), (v2, w))))
-        for w2 in H.neighbors(w):
-            if w2 != w:
-                edges.add(frozenset(((v, w), (v, w2))))
-    return Graph(tuple(vertices), frozenset(edges))
-
-
 @dataclass(frozen=True)
 class GraphMap:
     src: Graph
@@ -126,99 +109,3 @@ class GraphMap:
 
 def graph_map(src, dst, fn):
     return GraphMap(src, dst, tuple(fn(v) for v in src.vertices))
-
-
-def identity_map(G):
-    return GraphMap(G, G, tuple(G.vertices))
-
-
-def compose_maps(g, f):
-    return GraphMap(f.src, g.dst, tuple(g(f(v)) for v in f.src.vertices))
-
-
-def all_graph_maps(G, H):
-    """Every graph map G -> H, deterministically ordered (exponential)."""
-    out = []
-    for images in product(H.vertices, repeat=len(G.vertices)):
-        try:
-            out.append(GraphMap(G, H, images))
-        except ValueError:
-            continue
-    return out
-
-
-def hom_graph(G, H):
-    """Internal hom: vertices are maps G -> H, adjacent pointwise."""
-    maps = all_graph_maps(G, H)
-    vertices = tuple(m.mapping for m in maps)
-    edges = set()
-    for a in vertices:
-        for b in vertices:
-            if a < b and all(H.adjacent(x, y) for x, y in zip(a, b)):
-                edges.add(frozenset((a, b)))
-    return Graph(vertices, frozenset(edges))
-
-
-def _map_neighbors(f):
-    """Maps pointwise adjacent to f (including f), lazily generated."""
-    G, H = f.src, f.dst
-    choices = [H.neighbors(x) for x in f.mapping]
-    for images in product(*choices):
-        try:
-            yield GraphMap(G, H, images)
-        except ValueError:
-            continue
-
-
-def homotopy_search(f, g, max_len=6):
-    """Shortest homotopy f ~ g as a vertex path in the hom graph.
-
-    Returns Check; witness {"steps": [maps]} on success (an I_m
-    homotopy with m = len-1 steps), {"exhausted": max_len} otherwise.
-    """
-    if f.src != g.src or f.dst != g.dst:
-        raise ValueError("homotopy endpoints must be parallel maps")
-    start, goal = f.mapping, g.mapping
-    prev = {start: None}
-    frontier = [f]
-    for _ in range(max_len + 1):
-        if goal in prev:
-            break
-        nxt = []
-        for h in frontier:
-            for h2 in _map_neighbors(h):
-                if h2.mapping not in prev:
-                    prev[h2.mapping] = h.mapping
-                    nxt.append(h2)
-        frontier = nxt
-        if not frontier:
-            break
-    if goal not in prev:
-        return Check(False, {"exhausted": max_len})
-    path = [goal]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    steps = [GraphMap(f.src, f.dst, m) for m in reversed(path)]
-    return Check(True, {"steps": steps})
-
-
-def is_homotopy_equiv_search(G, H, bound=4):
-    """Bounded search for a homotopy equivalence G ~ H.
-
-    Returns Check; on success the witness holds (f, g, alpha, beta).
-    Exhaustion is a bounded non-result, never a refutation.
-    """
-    maps_fw = all_graph_maps(G, H)
-    maps_bw = all_graph_maps(H, G)
-    idG, idH = identity_map(G), identity_map(H)
-    for f in maps_fw:
-        for g in maps_bw:
-            a = homotopy_search(compose_maps(g, f), idG, bound)
-            if not a.ok:
-                continue
-            b = homotopy_search(compose_maps(f, g), idH, bound)
-            if b.ok:
-                return Check(True, {"f": f, "g": g,
-                                    "alpha": a.witness["steps"],
-                                    "beta": b.witness["steps"]})
-    return Check(False, {"exhausted": bound})

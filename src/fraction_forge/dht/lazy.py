@@ -1,5 +1,5 @@
-"""Lazily presented graphs: path graphs, double mapping path spaces,
-and the pullback built from them.
+"""Lazily presented graphs: path graphs and the pullback built from
+them.
 
 These graphs can be infinite (a path graph has a vertex for every
 stable line map), so they are exposed through probes only: a canonical
@@ -10,7 +10,6 @@ Exhausting a window never proves a negative.
 from itertools import product as iproduct
 
 from ..sset_core.enumerate import Check
-from .graphs import identity_map
 
 
 class LazyGraph:
@@ -127,42 +126,6 @@ def path_graph_lazy(K, window=2):
     return LazyGraph(line_canon, adjacent, neighbors)
 
 
-# -- double mapping path space ------------------------------------------
-
-def double_mapping_path_lazy(f, window=2):
-    """Vertices (k, x, p): a path p in f.dst from k to f(x).
-
-    Adjacency is componentwise; this is the limit of
-    ``K <- P(K) -> K <- G`` probed lazily.
-    """
-    G, K = f.src, f.dst
-    PK = path_graph_lazy(K, window)
-
-    def canon(v):
-        k, x, p = v
-        p = PK.canon(p)
-        a, b = line_ends(p)
-        if a != k or b != f(x):
-            raise ValueError("path endpoints do not match the anchors")
-        return (k, x, p)
-
-    def adjacent(u, v):
-        ku, xu, pu = u
-        kv, xv, pv = v
-        return (K.adjacent(ku, kv) and G.adjacent(xu, xv)
-                and PK.adjacent(pu, pv))
-
-    def neighbors(v):
-        k, x, p = v
-        for k2, x2 in iproduct(K.neighbors(k), G.neighbors(x)):
-            for p2 in PK.neighbors(p):
-                a, b = line_ends(p2)
-                if a == k2 and b == f(x2):
-                    yield (k2, x2, p2)
-
-    return LazyGraph(canon, adjacent, neighbors)
-
-
 # -- the pullback ---------------------------------------------------------
 
 def pullback_graph_lazy(f, g, window=2):
@@ -236,19 +199,3 @@ def pullback_square_probe(f, g, base_vertex, radius=1, window=2):
                 return Check(False, {"vertex": v, "neighbor": w,
                                      "reason": "projection not a map"})
     return Check(True, {"ball_size": len(ball)})
-
-
-def double_path_identity_probe(G, base_vertex, radius=1, window=2):
-    """The double mapping path space of the identity is the path graph:
-    compare neighborhoods over a ball through (k, x, p) -> p."""
-    DP = double_mapping_path_lazy(identity_map(G), window)
-    PG = path_graph_lazy(G, window)
-    for v in DP.ball(base_vertex, radius):
-        k, x, p = v
-        got = {w[2] for w in DP.neighbors(v)}
-        want = {q for q in PG.neighbors(p)}
-        if got != want:
-            return Check(False, {"vertex": v,
-                                 "missing": sorted(want - got),
-                                 "extra": sorted(got - want)})
-    return Check(True)

@@ -93,14 +93,13 @@ def ho_of_qcat(X):
 # -- Gabriel-Zisman fractions -------------------------------------------
 
 
-def gz_left_fractions(mc, exhaustive=False):
+def gz_left_fractions(mc):
     """Category of left fractions C W^{-1} with its canonical functor.
 
     Returns ``(cat, info)``; ``info`` has ``cls`` mapping a cospan
-    ``(f, w)`` to its class name and ``canonical`` mapping a morphism of
-    C to the class of ``(f, id)``.  Requires classical CLF.  With
-    ``exhaustive``, each composite is formed from every representative
-    and every completion, and must not depend on the choice.
+    ``(f, w)`` to its class name, ``canonical`` mapping a morphism of C
+    to the class of ``(f, id)``, and ``rep`` mapping a class to its
+    first cospan.  Requires classical CLF.
     """
     res = check_clf_classical(mc)
     if not res.ok:
@@ -113,7 +112,7 @@ def gz_left_fractions(mc, exhaustive=False):
     for x in C.objects:
         for y in C.objects:
             cs = []
-            for f in sorted(C.morphism_names()):
+            for f in names:
                 if C.dom(f) != x:
                     continue
                 for w in sorted(W):
@@ -128,7 +127,7 @@ def gz_left_fractions(mc, exhaustive=False):
     for (x, y), cs in cospans.items():
         for f, w in cs:
             t0 = C.cod(f)
-            for p in sorted(C.morphism_names()):
+            for p in names:
                 if C.dom(p) != t0:
                     continue
                 pw = C.compose(p, w)
@@ -137,18 +136,19 @@ def gz_left_fractions(mc, exhaustive=False):
                 uf.union((f, w), (C.compose(p, f), pw))
 
     cls_name = {}
+    rep = {}
     for (x, y), cs in cospans.items():
         seen = {}
         for c in cs:
             r = uf.find(c)
             if r not in seen:
                 seen[r] = ("gz", x, y, len(seen))
+                rep[seen[r]] = c
             cls_name[c] = seen[r]
 
     def complete_span(g, w):
         """Condition-(2) completion of the span (g, w) sharing a source:
-        returns (g', w2) with g'.w = w2.g and w2 marked."""
-        outs = []
+        the first (g', w2) with g'.w = w2.g and w2 marked."""
         for u in names:
             if C.dom(u) != C.cod(w):
                 continue
@@ -156,32 +156,16 @@ def gz_left_fractions(mc, exhaustive=False):
                 if s not in W or C.dom(s) != C.cod(g) or C.cod(s) != C.cod(u):
                     continue
                 if C.compose(u, w) == C.compose(s, g):
-                    if not exhaustive:
-                        return [(u, s)]
-                    outs.append((u, s))
-        if not outs:
-            raise ValueError(f"CLF completion missing for span ({g}, {w})")
-        return outs
+                    return u, s
+        raise ValueError(f"CLF completion missing for span ({g}, {w})")
 
     def compose_cls(b, a):
         """Composite of class b: y -> z after class a: x -> y."""
-        results = set()
-        reps_a = [c for c in cospans[(a[1], a[2])] if cls_name[c] == a] \
-            if exhaustive else [next(c for c in cospans[(a[1], a[2])]
-                                     if cls_name[c] == a)]
-        reps_b = [c for c in cospans[(b[1], b[2])] if cls_name[c] == b] \
-            if exhaustive else [next(c for c in cospans[(b[1], b[2])]
-                                     if cls_name[c] == b)]
-        for f, w in reps_a:
-            for g, v in reps_b:
-                for u, s in complete_span(g, w):
-                    results.add(cls_name[(C.compose(u, f), C.compose(s, v))])
-        if len(results) != 1:
-            raise ValueError(
-                f"fraction composition not well-defined: {sorted(results)}")
-        return next(iter(results))
+        (f, w), (g, v) = rep[a], rep[b]
+        u, s = complete_span(g, w)
+        return cls_name[(C.compose(u, f), C.compose(s, v))]
 
-    all_classes = sorted(set(cls_name.values()))
+    all_classes = sorted(rep)
     morphs = [Morphism(c, c[1], c[2]) for c in all_classes]
     idents = {x: cls_name[(C.ident(x), C.ident(x))] for x in C.objects}
     comp = {}
@@ -194,84 +178,53 @@ def gz_left_fractions(mc, exhaustive=False):
     info = {
         "cls": lambda f, w: cls_name[(f, w)],
         "canonical": lambda f: cls_name[(f, C.ident(C.cod(f)))],
-        "cospans": cospans,
-        "cls_name": cls_name,
+        "rep": rep,
     }
     return cat, info
 
 
 def gz_right_fractions(mc):
-    """Category of right fractions, via duality."""
-    cat_op, info_op = gz_left_fractions(mc.opposite())
-    cat = cat_op.opposite()
-    info = {
-        "cls": lambda f, w: info_op["cls"](f, w),
-        "canonical": info_op["canonical"],
-        "cls_name": info_op["cls_name"],
-    }
-    return cat, info
+    """Category of right fractions, via duality: the opposite of the
+    left fractions of the opposite, with their ``info``."""
+    cat_op, info = gz_left_fractions(mc.opposite())
+    return cat_op.opposite(), info
 
 
 # -- filtered-colimit hom formula ---------------------------------------
 
 
-def hom_via_colimit(mc, x, y):
-    """Hom in the localization as a colimit over the marked coslice.
-
-    Returns ``(classes, cls)`` where elements are pairs ``(w, f)`` with
-    ``w: y -> y'`` marked and ``f: x -> y'``, modulo the span relation.
-    """
-    res = check_clf_classical(mc)
-    if not res.ok:
-        raise ValueError(f"colimit formula needs CLF; witness {res.witness}")
-    C = mc.cat
-    W = effective_marking(mc)
-    elems = []
-    for w in sorted(W):
-        if C.dom(w) != y:
-            continue
-        for f in sorted(C.morphism_names()):
-            if C.dom(f) == x and C.cod(f) == C.cod(w):
-                elems.append((w, f))
-    uf = UnionFind()
-    for e in elems:
-        uf.add(e)
-    for w, f in elems:
-        for a in sorted(C.morphism_names()):
-            if C.dom(a) != C.cod(w):
-                continue
-            aw = C.compose(a, w)
-            if aw in W:
-                uf.union((w, f), (aw, C.compose(a, f)))
-    classes = sorted({uf.find(e) for e in elems}, key=repr)
-    return classes, (lambda e: uf.find(e))
-
-
 def colimit_vs_gz(mc, x, y, gz=None):
-    """Bijection between the colimit formula and gz fraction classes."""
+    """Hom(x, y) of the localization as the colimit of Hom_C(x, -) over
+    the marked coslice y/W, against the gz fraction classes.
+
+    The elements are pairs ``(w, f)`` with ``w: y -> y'`` marked and
+    ``f: x -> y'``; two are related when triangles of the coslice send
+    them to a common element.  Filteredness makes that relation an
+    equivalence; where it is not transitive the check fails.  Otherwise
+    related elements must be exactly those with equal gz classes, and
+    the classes must cover the gz hom set.
+    """
     if gz is None:
         gz = gz_left_fractions(mc)
     cat, info = gz
-    classes, cls = hom_via_colimit(mc, x, y)
-    # map each colimit class to the gz class of the same cospan
     C = mc.cat
-    W = effective_marking(mc)
-    assign = {}
-    for w in sorted(W):
-        if C.dom(w) != y:
-            continue
-        for f in sorted(C.morphism_names()):
-            if C.dom(f) == x and C.cod(f) == C.cod(w):
-                g = info["cls"](f, w)
-                c = cls((w, f))
-                if c in assign and assign[c] != g:
-                    return Check(False, {"pair": (x, y), "reason": "not well-defined"})
-                assign[c] = g
-    gz_homs = set(cat.hom(x, y))
-    if set(assign.values()) != gz_homs or len(assign) != len(gz_homs):
-        return Check(False, {"pair": (x, y), "colimit": len(classes),
-                             "gz": len(gz_homs)})
-    return Check(True, {"size": len(gz_homs)})
+    cos = marked_coslice_category(mc, y)
+    elems = [(w, f) for w in cos.objects for f in C.hom(x, C.cod(w))]
+    # a triangle ("t", w, w2, a), with a.w = w2, sends (w, f) to (w2, a.f)
+    image = {(w, f): {(w2, C.compose(a, f))
+                      for _, w1, w2, a in cos.morphism_names() if w1 == w}
+             for w, f in elems}
+    related = {e: {e2 for e2 in elems if image[e] & image[e2]} for e in elems}
+    if any(related[e2] != related[e] for e in elems for e2 in related[e]):
+        return Check(False, {"pair": (x, y), "reason": "not transitive"})
+    cls = {(w, f): info["cls"](f, w) for w, f in elems}
+    homs = cat.hom(x, y)
+    if set(cls.values()) != set(homs) or any(
+            (e2 in related[e]) != (cls[e] == cls[e2])
+            for e in elems for e2 in elems):
+        return Check(False, {"pair": (x, y), "gz": len(homs), "colimit":
+                             len({frozenset(r) for r in related.values()})})
+    return Check(True, {"size": len(homs)})
 
 
 # -- filteredness --------------------------------------------------------
@@ -412,42 +365,56 @@ def pi0(X):
 
 
 def pi0_mapping_check(mc, x, y, gz=None):
-    """pi0 of the fraction space vs gz hom classes, as a bijection."""
+    """pi0 of the space of left fractions from x to y vs the gz hom
+    classes, as a bijection."""
     res = check_proper_clf(mc)
     if not res.ok:
         raise ValueError(f"needs proper CLF; witness {res.witness}")
     if gz is None:
         gz = gz_left_fractions(mc)
+    LF = fraction_space_LF(nerve_marked(mc, 3), ("v", x), ("v", y))
+    return _pi0_vs_gz(mc.cat, LF, gz, x, y)
+
+
+def pi0_mapping_checks(mc, side="L"):
+    """pi0 of the space of left (side L) or right (side R) fractions vs
+    the gz hom classes, as a bijection, for every ordered pair of
+    objects: ``{(x, y): Check}``.  The nerve, each slice and the
+    fraction category are built once."""
+    gz = gz_left_fractions(mc) if side == "L" else gz_right_fractions(mc)
+    objects = mc.cat.objects
+    spaces = fraction_spaces(nerve_marked(mc, 3),
+                             [("v", x) for x in objects], side)
+    return {(x, y): _pi0_vs_gz(mc.cat, spaces[(("v", x), ("v", y))],
+                                gz, x, y)
+            for x in objects for y in objects}
+
+
+def _pi0_vs_gz(C, space, gz, x, y):
+    """The gz class of the cospan (f, w) read off each vertex of a
+    fraction space is constant on each pi0 component, and the components
+    biject onto the gz hom set from x to y."""
     cat, info = gz
-    mN = nerve_marked(mc, 3)
-    LF = fraction_space_LF(mN, ("v", x), ("v", y))
-    comps, comp_of = pi0(LF.base)
-    # vertices of LF are pairs (cylinder at x, marked cylinder at y);
-    # read off the cospan and map it to its gz class
+    comps, comp_of = pi0(space.base)
+    homs = cat.hom(x, y)
+    sizes = {"pi0": len(comps), "gz": len(homs)}
+    # a vertex is a pair (fat cylinder, marked cylinder): the cospan
     assign = {}
-    C = mc.cat
-    for v in LF.base.cells[0]:
-        _, d, (sx, sy) = v
-        f = _edge_of_vertex_cylinder(sx)
-        w = _edge_of_vertex_cylinder(sy)
-        fm = f[1] if f[0] == "c" else C.ident(f[1])
-        wm = w[1] if w[0] == "c" else C.ident(w[1])
-        g = info["cls"](fm, wm)
-        c = comp_of(v)
-        if c in assign and assign[c] != g:
-            return Check(False, {"pair": (x, y), "reason": "not constant on pi0"})
-        assign[c] = g
-    gz_homs = set(cat.hom(x, y))
-    ok = set(assign.values()) == gz_homs and len(assign) == len(gz_homs)
-    return Check(ok, {"pi0": len(comps), "gz": len(gz_homs)})
+    for v in space.base.cells[0]:
+        f, w = (_morphism_of_vertex_cylinder(C, s) for s in v[2])
+        g = info["cls"](f, w)
+        if assign.setdefault(comp_of(v), g) != g:
+            return Check(False, {**sizes, "reason": "not constant on pi0"})
+    return Check(set(assign.values()) == set(homs) and len(assign) == len(homs),
+                 sizes)
 
 
-def _edge_of_vertex_cylinder(serialized):
-    """The image of the 0-1 edge in a serialized map Δ⁰×Δ¹ -> nerve."""
+def _morphism_of_vertex_cylinder(C, serialized):
+    """The morphism of C that a serialized map Δ⁰×Δ¹ -> nerve sends the
+    0-1 edge to."""
     for cell, op, img in serialized:
-        _, op1, c1, op2, c2 = cell
-        if c2 == (0, 1):
-            return img
+        if cell[4] == (0, 1):
+            return img[1] if img[0] == "c" else C.ident(img[1])
     raise ValueError("malformed cylinder serialization")
 
 
@@ -492,8 +459,7 @@ def compare_localizations(mc):
     witnesses = []
     for m in gz_cat.morphism_names():
         x, y = gz_cat.dom(m), gz_cat.cod(m)
-        rep = next(c for c, n in gz_info["cls_name"].items() if n == m)
-        f_, w_ = rep
+        f_, w_ = gz_info["rep"][m]
         wim = ho_edge(w_)
         winv = ho_inverse(wim)
         if winv is None:

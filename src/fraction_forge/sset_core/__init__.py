@@ -1,4 +1,4 @@
-"""Finite simplicial sets: cells, EZ-normal faces, nerves, joins, products,
+"""Finite simplicial sets: cells, EZ-normal faces, nerves, products,
 map enumeration, and the inner-horn filling check."""
 
 from .ops import (
@@ -23,7 +23,7 @@ from .nerves import (
     simplex_map,
     standard_simplex,
 )
-from .build import from_levels, join, opposite_sset, product, product_map
+from .build import from_levels, opposite_sset, product, product_map
 from .enumerate import enumerate_maps, is_quasicategory_upto
 from . import io
 
@@ -44,7 +44,6 @@ __all__ = [
     "io",
     "is_quasicategory_upto",
     "is_surjection",
-    "join",
     "nerve_category",
     "nerve_poset",
     "op_reverse",

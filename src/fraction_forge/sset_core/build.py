@@ -1,59 +1,9 @@
-"""Constructions on simplicial sets: joins, products, opposites, and
+"""Constructions on simplicial sets: products, opposites, and
 extraction of an SSet from abstract level data via EZ normal forms."""
 
 from .nerves import simplex_inclusion
 from .ops import compose, delta, identity_op, op_reverse, sigma
 from .sset import Simplex, SMap, SSet, surjections
-
-
-# -- joins ---------------------------------------------------------------
-
-def _join_mixed_face(X, Y, c1, c2, i):
-    """Face i of the mixed join cell (c1, c2)."""
-    d1, d2 = X.dim_of(c1), Y.dim_of(c2)
-    n = d1 + d2 + 1
-    if i <= d1:
-        if d1 == 0:
-            return Simplex(identity_op(d2), ("R", c2))
-        s = X.apply_cell(c1, delta(i, d1))
-        q = len(s.op) - 1
-        op = s.op + tuple(range(q + 1, q + d2 + 2))
-        return Simplex(op, ("LR", s.cell, c2))
-    if d2 == 0:
-        return Simplex(identity_op(d1), ("L", c1))
-    s = Y.apply_cell(c2, delta(i - d1 - 1, d2))
-    op = tuple(range(d1 + 1)) + tuple(v + d1 + 1 for v in s.op)
-    return Simplex(op, ("LR", c1, s.cell))
-
-
-def join(X, Y, bound):
-    """Join of two simplicial sets, truncated at ``bound``.
-
-    Cells are tagged ``("L", x)``, ``("R", y)``, or ``("LR", x, y)``
-    with dims ``i``, ``j``, ``i + j + 1``.
-    """
-    cells = [[] for _ in range(bound + 1)]
-    faces = {}
-    for d in range(bound + 1):
-        for c in (X.cells[d] if d < len(X.cells) else []):
-            cells[d].append(("L", c))
-        for c in (Y.cells[d] if d < len(Y.cells) else []):
-            cells[d].append(("R", c))
-        for i in range(d):
-            j = d - 1 - i
-            for c1 in (X.cells[i] if i < len(X.cells) else []):
-                for c2 in (Y.cells[j] if j < len(Y.cells) else []):
-                    cells[d].append(("LR", c1, c2))
-    for d in range(1, bound + 1):
-        for cell in cells[d]:
-            if cell[0] == "L":
-                faces[cell] = [Simplex(s.op, ("L", s.cell)) for s in X.faces[cell[1]]]
-            elif cell[0] == "R":
-                faces[cell] = [Simplex(s.op, ("R", s.cell)) for s in Y.faces[cell[1]]]
-            else:
-                _, c1, c2 = cell
-                faces[cell] = [_join_mixed_face(X, Y, c1, c2, i) for i in range(d + 1)]
-    return SSet(bound, cells, faces)
 
 
 # -- products ------------------------------------------------------------

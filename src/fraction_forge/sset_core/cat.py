@@ -31,9 +31,6 @@ class Poset:
     def leq(self, a, b):
         return (a, b) in self._leq
 
-    def opposite(self):
-        return Poset(self.elements, [(b, a) for a, b in self._leq])
-
     @staticmethod
     def from_leq(elements, leq):
         """Build from a predicate, closing nothing (predicate must be an order)."""

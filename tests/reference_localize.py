@@ -1,5 +1,8 @@
-"""Localization homs by brute force over zigzag words: a differential
-oracle for ``fraction_forge.localize.gz_left_fractions``."""
+"""Differential oracles for ``fraction_forge.localize.gz_left_fractions``:
+localization homs by brute force over zigzag words, and composition
+over every representative and every completion."""
+
+from itertools import product
 
 from fraction_forge.marked import effective_marking
 from fraction_forge.sset_core.unionfind import UnionFind
@@ -82,3 +85,34 @@ def zigzag_oracle(mc, x, y, max_len=6):
                 ident = ("+", C.ident(C.cod(a[1])))
                 relate(word, word[:i] + (ident,) + word[i + 2:])
     return len({uf.find(w) for w in targets})
+
+
+
+def composites_agree(mc, cat, info):
+    """True if composition in the left fractions ``(cat, info)`` of ``mc``
+    does not depend on the choices made: for classes a: x -> y and
+    b: y -> z, every representative (f, w) of a, every representative
+    (g, v) of b and every completion (u, s) of the span (g, w), with
+    u.w = s.g and s marked, give (u.f, s.v) in the class b.a."""
+    C = mc.cat
+    W = effective_marking(mc)
+    names = C.morphism_names()
+    reps = {}
+    for w in W:
+        for f in names:
+            if C.cod(f) == C.cod(w):
+                reps.setdefault(info["cls"](f, w), []).append((f, w))
+    for b in cat.morphism_names():
+        for a in cat.morphism_names():
+            if cat.cod(a) != cat.dom(b):
+                continue
+            ba = cat.compose(b, a)
+            for (f, w), (g, v) in product(reps[a], reps[b]):
+                for u, s in product(names, W):
+                    if C.dom(u) == C.cod(w) and C.dom(s) == C.cod(g) \
+                            and C.cod(s) == C.cod(u) \
+                            and C.compose(u, w) == C.compose(s, g) \
+                            and info["cls"](C.compose(u, f),
+                                            C.compose(s, v)) != ba:
+                        return False
+    return True

@@ -262,7 +262,9 @@ def test_corpus_run_identical_across_hash_seeds():
     ["localize", "compare", "--input", cat_file("chain2_marked_01")],
     ["mapspace", "--side", "L", "--input", cat_file("chain2_marked_01")],
     ["mapspace", "--side", "R", "--input", cat_file("chain2_marked_01")],
-], ids=["ex-L", "ex-R", "compare", "mapspace-L", "mapspace-R"])
+    ["localize", "gz", "--side", "R", "--input", cat_file("chain2_marked_01"),
+     "--emit-dot", "EMIT"],
+], ids=["ex-L", "ex-R", "compare", "mapspace-L", "mapspace-R", "gz-R-dot"])
 def test_commands_identical_across_hash_seeds(tmp_path, msset_file, argv):
     runs = []
     for seed in ("0", "1"):

@@ -7,18 +7,11 @@ from fraction_forge.dht import (
     a1_bfs_oracle,
     a1_presentation,
     abelianization_rank,
-    box_product,
-    compose_maps,
     cycle,
-    double_path_identity_probe,
     free_reduce,
     graph_from_dict,
     graph_map,
-    hom_graph,
-    homotopy_search,
-    identity_map,
     interval,
-    is_homotopy_equiv_search,
     is_trivial_presentation,
     line_canon,
     line_ends,
@@ -37,7 +30,7 @@ def complete_graph(n):
                                  for j in range(i + 1, n)])
 
 
-# -- graphs, box products, hom graphs ------------------------------------
+# -- graphs --------------------------------------------------------------
 
 def test_graph_from_dict_rejects_bad_input():
     with pytest.raises(ValueError):
@@ -48,73 +41,6 @@ def test_graph_from_dict_rejects_bad_input():
         graph_from_dict({"vertices": [0], "edges": [[0, 1]]})
     G = graph_from_dict({"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]]})
     assert G == graph_from_dict(G.to_dict())
-
-
-def test_box_product_square():
-    sq = box_product(interval(1), interval(1))
-    assert len(sq.vertices) == 4
-    assert len(sq.edges) == 4  # no diagonal: one coordinate moves at a time
-
-
-def test_box_with_point_is_identity():
-    G = cycle(4)
-    P = box_product(G, interval(0))
-    assert len(P.vertices) == len(G.vertices)
-    assert len(P.edges) == len(G.edges)
-    assert all(G.adjacent(u, v) == P.adjacent((u, 0), (v, 0))
-               for u in G.vertices for v in G.vertices)
-
-
-def test_hom_from_point_recovers_target():
-    H = cycle(4)
-    E = hom_graph(interval(0), H)
-    assert sorted(E.vertices) == sorted((v,) for v in H.vertices)
-    for u in H.vertices:
-        for v in H.vertices:
-            assert E.adjacent((u,), (v,)) == H.adjacent(u, v)
-
-
-# -- homotopy search -----------------------------------------------------
-
-def test_homotopy_identical_maps():
-    G = cycle(4)
-    res = homotopy_search(identity_map(G), identity_map(G))
-    assert res.ok and len(res.witness["steps"]) == 1
-
-
-def test_homotopy_adjacent_constants():
-    G = interval(2)
-    c0 = graph_map(G, G, lambda v: 0)
-    c1 = graph_map(G, G, lambda v: 1)
-    res = homotopy_search(c0, c1)
-    assert res.ok and len(res.witness["steps"]) == 2
-
-
-def test_homotopy_antipodal_constants_on_hexagon():
-    G = cycle(6)
-    c0 = graph_map(G, G, lambda v: 0)
-    c3 = graph_map(G, G, lambda v: 3)
-    res = homotopy_search(c0, c3, max_len=6)
-    # shortest homotopy tracks a geodesic: three steps
-    assert res.ok and len(res.witness["steps"]) == 4
-
-
-def test_homotopy_requires_parallel_maps():
-    with pytest.raises(ValueError):
-        homotopy_search(identity_map(cycle(4)), identity_map(cycle(5)))
-
-
-def test_interval_contracts_to_point():
-    for m in (1, 2):
-        res = is_homotopy_equiv_search(interval(m), interval(0), bound=4)
-        assert res.ok
-
-
-def test_pentagon_not_contractible_within_bound():
-    G = cycle(5)
-    c0 = graph_map(G, G, lambda v: 0)
-    res = homotopy_search(c0, identity_map(G), max_len=5)
-    assert not res.ok and res.witness == {"exhausted": 5}
 
 
 # -- stable cubes --------------------------------------------------------
@@ -321,16 +247,10 @@ def test_path_graph_ball_is_finite_probe():
     assert all(v == P.canon(v) for v in ball)
 
 
-def test_double_path_identity_probe():
-    res = double_path_identity_probe(cycle(4), (0, 0, (0, (0,))),
-                                     radius=1, window=1)
-    assert res.ok, res.witness
-
-
 def test_pullback_projections_and_square():
     G, K = cycle(4), interval(0)
     f = graph_map(G, K, lambda v: 0)
-    g = identity_map(K)
+    g = graph_map(K, K, lambda v: v)
     P, proj = pullback_graph_lazy(f, g, window=1)
     base = P.canon((0, (0, (0,)), (0, (0,)), 0))
     assert proj["pi_G"](base) == 0
@@ -341,15 +261,15 @@ def test_pullback_projections_and_square():
 
 
 def test_pullback_rejects_mismatched_cospan():
-    f = identity_map(cycle(4))
-    g = identity_map(cycle(5))
+    f = graph_map(cycle(4), cycle(4), lambda v: v)
+    g = graph_map(cycle(5), cycle(5), lambda v: v)
     with pytest.raises(ValueError):
         pullback_graph_lazy(f, g)
 
 
 def test_pullback_rejects_bad_vertex():
     K = interval(1)
-    f = identity_map(K)
+    f = graph_map(K, K, lambda v: v)
     P, _ = pullback_graph_lazy(f, f, window=1)
     with pytest.raises(ValueError):
         P.canon((0, (0, (0,)), (0, (1,)), 1))  # starts differ

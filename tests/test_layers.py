@@ -3,8 +3,8 @@
 ``sset_core`` <- ``marked`` <- ``fractions``/``exfunctor`` <- ``localize``
 <- ``cli``; ``dht`` imports only ``sset_core``.  Every relative import is
 checked, at module and at function level, and every import sits at
-module level.  Every top-level name of the core layers has a caller in
-the program, the benchmark, the tools or the acceptance gate.
+module level.  Every top-level name of every layer below ``cli`` has a
+caller in the program, the benchmark, the tools or the acceptance gate.
 """
 
 import ast
@@ -29,13 +29,12 @@ def allowed(src, dst):
 
 def imported_layers(path):
     """``(line, layer)`` for each relative import of a module."""
-    package = list(path.relative_to(PKG).parent.parts)
+    package = ".".join(path.relative_to(PKG).parent.parts)
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and node.level:
-            base = package[:len(package) - node.level + 1]
-            target = base + (node.module.split(".") if node.module else [])
+            target = imported_module(node, package)
             if target:
-                yield node.lineno, target[0]
+                yield node.lineno, target.split(".")[0]
             else:  # ``from . import x`` at the package root
                 yield from ((node.lineno, a.name) for a in node.names)
 
@@ -70,25 +69,129 @@ def test_imports_at_module_level():
     assert not bad, bad
 
 
-CORE = ("sset_core", "marked", "fractions", "exfunctor", "localize")
+CORE = ("sset_core", "marked", "fractions", "exfunctor", "localize", "dht")
+
+
+def module_paths():
+    """The path of each module of the package by dotted name:
+    ``localize``, ``sset_core.io``, ``dht`` for ``dht/__init__.py``."""
+    out = {}
+    for path in sorted(PKG.rglob("*.py")):
+        parts = path.relative_to(PKG).with_suffix("").parts
+        out[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return out
+
+
+def imported_module(node, package):
+    """Dotted name of the package module an ``ImportFrom`` reads from
+    (``""`` for the package root), or None for a module outside the
+    package.  ``package`` is the dotted name of the importer's package,
+    None outside the package."""
+    if node.level:
+        base = package.split(".") if package else []
+        base = base[:len(base) - node.level + 1]
+        return ".".join(base + (node.module.split(".") if node.module else []))
+    parts = (node.module or "").split(".")
+    return ".".join(parts[1:]) if parts[0] == "fraction_forge" else None
+
+
+def uses(tree, module, names):
+    """The ``(module, name)`` pairs a caller uses: each name it imports
+    from a package module, each attribute it reads off a package module,
+    and, when ``module`` is the caller's own dotted name, each name of
+    that module it reads bare outside its own definition.  A package
+    module is a name bound to one by an import, or an attribute named
+    after one (``P.localize``).  ``names`` are the package's modules."""
+    aliases, found = {}, set()
+    short = {}
+    for m in names:
+        short.setdefault(m.rpartition(".")[2], []).append(m)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            src = imported_module(
+                node, None if module is None else module.rpartition(".")[0])
+            for a in node.names if src is not None else ():
+                sub = f"{src}.{a.name}".lstrip(".")
+                if sub in names:
+                    aliases[a.asname or a.name] = sub
+                else:
+                    found.add((src, a.name))
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "fraction_forge" and a.asname:
+                    aliases[a.asname] = ".".join(parts[1:])
+    own = {id(n) for d in tree.body
+           if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+           for n in ast.walk(d) if isinstance(n, ast.Name) and n.id == d.name}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                found.add((aliases[base.id], node.attr))
+            elif isinstance(base, ast.Attribute) \
+                    and len(short.get(base.attr, ())) == 1:
+                found.add((short[base.attr][0], node.attr))
+        elif isinstance(node, ast.Name) and module is not None \
+                and id(node) not in own:
+            found.add((module, node.id))
+    return found
+
+
+def test_uses_resolve_names_not_spellings():
+    names = set(module_paths())
+    tree = ast.parse(
+        "from .build import product\n"
+        "from . import io as ffio\n"
+        "import fraction_forge.cli as cli\n"
+        "def join(x):\n"
+        "    return join(x)\n"
+        "''.join(x); ffio.read_json(x); P.localize.pi0(x); cli.main()\n"
+        "nerve_category(x)\n")
+    found = uses(tree, "sset_core.nerves", names)
+    assert ("sset_core.build", "product") in found
+    assert ("sset_core.io", "read_json") in found
+    assert ("localize", "pi0") in found
+    assert ("cli", "main") in found
+    assert ("sset_core.nerves", "nerve_category") in found
+    # neither a method of another type nor a self-call is a use
+    assert not {use for use in found if use[1] == "join"}
+    # outside the package, a bare name is no use of any module's name
+    assert not uses(ast.parse("nerve_category(x)"), None, names)
 
 
 def test_every_core_name_has_a_program_caller():
     """A core function or class that only its own unit tests reach
-    belongs in ``tests/`` or nowhere.  Imports are not callers."""
-    defined = {node.name: path.relative_to(PKG)
-               for path in sorted(PKG.rglob("*.py"))
-               if path.relative_to(PKG).with_suffix("").parts[0] in CORE
-               for node in ast.parse(path.read_text()).body
+    belongs in ``tests/`` or nowhere.  A use is an import, a bare
+    reference in the defining module, or an attribute read off a
+    package module (see ``uses``); a package's ``__init__`` re-exports
+    are followed to the defining module but are no use themselves."""
+    files = module_paths()
+    trees = {m: ast.parse(path.read_text()) for m, path in files.items()}
+    defined = {(m, node.name) for m, tree in trees.items()
+               if m.split(".")[0] in CORE
+               for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    callers = [p for p in PKG.rglob("*.py") if p.name != "__init__.py"]
-    callers += [*(REPO / "perfbench").rglob("*.py"),
-                *(REPO / "tools").rglob("*.py"),
-                REPO / "tests" / "test_acceptance.py"]
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for path in callers for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    exports = {}
+    for m, path in files.items():
+        for node in trees[m].body if path.name == "__init__.py" else ():
+            if isinstance(node, ast.ImportFrom) and node.level:
+                src = imported_module(node, m)
+                exports.update({(m, a.asname or a.name): (src, a.name)
+                                for a in node.names
+                                if f"{src}.{a.name}".lstrip(".") not in files})
+    found = {use for m, tree in trees.items()
+             if files[m].name != "__init__.py"
+             for use in uses(tree, m, files)}
+    for path in [*(REPO / "perfbench").rglob("*.py"),
+                 *(REPO / "tools").rglob("*.py"),
+                 REPO / "tests" / "test_acceptance.py"]:
+        found |= uses(ast.parse(path.read_text()), None, files)
+    used = set()
+    for use in found:
+        while use not in defined and use in exports:
+            use = exports[use]
+        used.add(use)
     assert len(defined) > 100
-    unused = sorted(f"{path}: {name}" for name, path in defined.items()
-                    if name not in used)
+    unused = sorted(f"{m}: {name}" for m, name in defined - used)
     assert not unused, unused

@@ -10,17 +10,19 @@ from fraction_forge.localize import (
     gz_left_fractions,
     gz_right_fractions,
     ho_of_qcat,
-    hom_via_colimit,
     is_filtered_category,
     marked_coslice_category,
     pi0,
     pi0_mapping_check,
+    pi0_mapping_checks,
     slice_filtered_check,
 )
+from fraction_forge import cli
+from fraction_forge.fractions import check_clf_classical, check_crf_classical
 from fraction_forge.marked import MarkedCategory, nerve_marked
 from fraction_forge.sset_core import nerve_category, standard_simplex
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
-from reference_localize import zigzag_oracle
+from reference_localize import composites_agree, zigzag_oracle
 
 
 def chain_cat(n):
@@ -38,6 +40,16 @@ def walking_marked_arrow():
          ("w", "ix"): "w", ("iy", "w"): "w"},
     )
     return MarkedCategory(C, {"w"})
+
+
+CORPUS_CATS = sorted(p.stem
+                     for p in (cli.corpus_path() / "cats").glob("*.json"))
+
+
+def corpus_cats():
+    return [(name, cli._load_marked_cat(cli.corpus_path() / "cats"
+                                        / f"{name}.json"))
+            for name in CORPUS_CATS]
 
 
 def hom_size(cat, x, y):
@@ -137,13 +149,21 @@ def test_zigzag_oracle_stabilizes():
 
 
 def test_gz_completion_order_independent():
-    mc = marked_segment_poset()
-    one, _ = gz_left_fractions(mc)
-    # composing over every representative and every completion agrees
-    three, _ = gz_left_fractions(mc, exhaustive=True)
-    for x in mc.cat.objects:
-        for y in mc.cat.objects:
-            assert hom_size(one, x, y) == hom_size(three, x, y)
+    # composing over every representative and every completion agrees,
+    # on both sides of every corpus category with the classical condition
+    cases = [(marked_segment_poset(), "L")]
+    for _, mc in corpus_cats():
+        if check_clf_classical(mc).ok:
+            cases.append((mc, "L"))
+        if check_crf_classical(mc).ok:
+            cases.append((mc, "R"))
+    assert len(cases) == 41
+    for mc, side in cases:
+        if side == "L":
+            assert composites_agree(mc, *gz_left_fractions(mc))
+        else:
+            cat, info = gz_right_fractions(mc)
+            assert composites_agree(mc.opposite(), cat.opposite(), info)
 
 
 def test_gz_right_duality():
@@ -157,21 +177,24 @@ def test_gz_right_duality():
 
 # -- filtered-colimit hom formula ---------------------------------------
 
-def test_hom_via_colimit_identity_marking():
-    C = chain_cat(2)
-    mc = MarkedCategory(C, set())
-    for x in C.objects:
-        for y in C.objects:
-            classes, _ = hom_via_colimit(mc, x, y)
-            assert len(classes) == hom_size(C, x, y)
-
-
 def test_colimit_vs_gz():
-    for mc in (walking_marked_arrow(), marked_segment_poset()):
+    unmarked = MarkedCategory(chain_cat(2), set())
+    for mc in (walking_marked_arrow(), marked_segment_poset(), unmarked):
         gz = gz_left_fractions(mc)
         for x in mc.cat.objects:
             for y in mc.cat.objects:
                 assert colimit_vs_gz(mc, x, y, gz=gz).ok, (x, y)
+    # a coslice that is not filtered: e <= 0 and e <= 1 have no common
+    # marked arrow out of e, so the colimit relation is not transitive
+    square = dict(corpus_cats())["square_poset_identity"]
+    partial = MarkedCategory(square.cat, {"e<=0", "e<=1"})
+    full = gz_left_fractions(MarkedCategory(square.cat,
+                                            set(square.cat.morphism_names())))
+    res = colimit_vs_gz(partial, "e", "e", gz=full)
+    assert not res.ok and res.witness["reason"] == "not transitive"
+    # the fractions of another marking: 1 <= 2 inverted gives a 2 -> 1
+    inverted = gz_left_fractions(MarkedCategory(chain_cat(2), {"1<=2"}))
+    assert not colimit_vs_gz(unmarked, 2, 1, gz=inverted).ok
 
 
 # -- filteredness --------------------------------------------------------
@@ -269,6 +292,22 @@ def test_pi0_mapping_check():
         for x in mc.cat.objects:
             for y in mc.cat.objects:
                 assert pi0_mapping_check(mc, x, y, gz=gz).ok, (x, y)
+
+
+@pytest.mark.parametrize("name", CORPUS_CATS)
+def test_pi0_mapping_checks_both_sides_over_corpus(name):
+    # every side with the classical condition; the 40 (category, side)
+    # pairs this covers are counted in test_gz_completion_order_independent
+    mc = cli._load_marked_cat(cli.corpus_path() / "cats" / f"{name}.json")
+    for side, cond in (("L", check_clf_classical),
+                       ("R", check_crf_classical)):
+        if not cond(mc).ok:
+            continue
+        checks = pi0_mapping_checks(mc, side)
+        assert len(checks) == len(mc.cat.objects) ** 2
+        for pair, res in checks.items():
+            assert res.ok, (side, pair, res.witness)
+            assert res.witness["pi0"] == res.witness["gz"]
 
 
 # -- three-way comparison ------------------------------------------------

@@ -9,7 +9,6 @@ from fraction_forge.sset_core import (
     horn,
     io,
     is_quasicategory_upto,
-    join,
     nerve_category,
     nerve_poset,
     opposite_sset,
@@ -58,17 +57,6 @@ def test_validation_rejects_bad_faces():
         SSet(1, [["a"], ["e"]], {"e": [Simplex((0,), "a")]})  # one face missing
     with pytest.raises(ValueError):
         SSet(1, [["a"], ["e", "e"]], {"e": []})  # duplicate cell
-
-
-def test_join_counts_and_simplex_identity():
-    # Δ0 ⋆ Δ0 ≅ Δ1, Δ1 ⋆ Δ0 ≅ Δ2 (join formula)
-    J = join(standard_simplex(0), standard_simplex(0), 1)
-    assert counts(J) == [2, 1]
-    J2 = join(standard_simplex(1), standard_simplex(0), 2)
-    assert counts(J2) == counts(standard_simplex(2))
-    assert find_isomorphism(J2, standard_simplex(2)) is not None
-    J3 = join(standard_simplex(1), standard_simplex(1), 3)
-    assert counts(J3) == counts(standard_simplex(3))
 
 
 def test_product_shuffles():
