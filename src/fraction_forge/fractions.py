@@ -56,7 +56,7 @@ def has_rlp(mx, n, k, side="L"):
 
 # -- classical calculus of fractions ------------------------------------
 
-def _marked_tables(mc):
+def marked_tables(mc):
     """The marked arrows W (identities included), sorted, and the sorted
     lists of those out of and into each object."""
     C = mc.cat
@@ -72,7 +72,7 @@ def _marked_tables(mc):
 
 def check_clf_classical(mc):
     """Conditions (1)-(3) of the classical calculus of left fractions."""
-    return _classical(mc.cat, *_marked_tables(mc))
+    return _classical(mc.cat, *marked_tables(mc))
 
 
 def _classical(C, W, ordered, out, into):
@@ -86,7 +86,7 @@ def _classical(C, W, ordered, out, into):
     names = sorted(C.morphism_names())
     for f in names:
         for w in out[C.dom(f)]:
-            if not _completes(C, f, w, out):
+            if completion(C, f, w, out) is None:
                 return Check(False, {"condition": 2, "span": (f, w)})
     # (3) coequalizing marked arrows
     for f in names:
@@ -100,27 +100,28 @@ def _classical(C, W, ordered, out, into):
     return Check(True)
 
 
-def _completes(C, f, w, out, among=None):
-    """Whether the span (f, w) has a square f'.w = w'.f with w' marked,
-    and f' in ``among`` if given."""
+def completion(C, f, w, out, among=None):
+    """The first square (f', w') completing the span (f, w), with
+    f'.w = w'.f, w' in the marked arrows ``out`` of the codomain of f
+    and f' in ``among`` if given; None if there is none."""
     for wp in out[C.cod(f)]:
         target = C.compose(wp, f)
         for fp in C.hom(C.cod(w), C.cod(wp)):
             if C.compose(fp, w) == target and (among is None or fp in among):
-                return True
-    return False
+                return fp, wp
+    return None
 
 
 def check_proper_clf(mc):
     """CLF plus the properness refinement of condition (2)."""
-    C, tables = mc.cat, _marked_tables(mc)
+    C, tables = mc.cat, marked_tables(mc)
     base = _classical(C, *tables)
     if not base.ok:
         return base
     W, ordered, out, _ = tables
     for f in ordered:
         for w in out[C.dom(f)]:
-            if not _completes(C, f, w, out, among=W):
+            if completion(C, f, w, out, among=W) is None:
                 return Check(False, {"condition": "2'", "span": (f, w)})
     return Check(True)
 

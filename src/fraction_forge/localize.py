@@ -7,11 +7,15 @@ and the three-way localization comparison.
 from itertools import product
 
 from .exfunctor import ex_plus, ex_to_sset, max_star
-from .fractions import check_clf_classical, check_proper_clf
+from .fractions import (
+    check_clf_classical,
+    check_proper_clf,
+    completion,
+    marked_tables,
+)
 from .marked import (
     MarkedSSet,
     cylinder,
-    effective_marking,
     level_maps,
     maximal_marking,
     minimal_marking,
@@ -105,35 +109,23 @@ def gz_left_fractions(mc):
     if not res.ok:
         raise ValueError(f"left fractions need CLF; witness {res.witness}")
     C = mc.cat
-    W = effective_marking(mc)
-    names = sorted(C.morphism_names())
-
-    cospans = {}
-    for x in C.objects:
-        for y in C.objects:
-            cs = []
-            for f in names:
-                if C.dom(f) != x:
-                    continue
-                for w in sorted(W):
-                    if C.dom(w) == y and C.cod(w) == C.cod(f):
-                        cs.append((f, w))
-            cospans[(x, y)] = cs
+    W, _, out, into = marked_tables(mc)
+    cospans = {(x, y): [] for x in C.objects for y in C.objects}
+    for f in sorted(C.morphism_names()):
+        for w in into[C.cod(f)]:
+            cospans[(C.dom(f), C.dom(w))].append((f, w))
 
     uf = UnionFind()
     for cs in cospans.values():
         for c in cs:
             uf.add(c)
-    for (x, y), cs in cospans.items():
+    for cs in cospans.values():
         for f, w in cs:
-            t0 = C.cod(f)
-            for p in names:
-                if C.dom(p) != t0:
-                    continue
-                pw = C.compose(p, w)
-                if pw not in W:
-                    continue
-                uf.union((f, w), (C.compose(p, f), pw))
+            for z in C.objects:
+                for p in C.hom(C.cod(f), z):
+                    pw = C.compose(p, w)
+                    if pw in W:
+                        uf.union((f, w), (C.compose(p, f), pw))
 
     cls_name = {}
     rep = {}
@@ -146,33 +138,20 @@ def gz_left_fractions(mc):
                 rep[seen[r]] = c
             cls_name[c] = seen[r]
 
-    def complete_span(g, w):
-        """Condition-(2) completion of the span (g, w) sharing a source:
-        the first (g', w2) with g'.w = w2.g and w2 marked."""
-        for u in names:
-            if C.dom(u) != C.cod(w):
-                continue
-            for s in names:
-                if s not in W or C.dom(s) != C.cod(g) or C.cod(s) != C.cod(u):
-                    continue
-                if C.compose(u, w) == C.compose(s, g):
-                    return u, s
-        raise ValueError(f"CLF completion missing for span ({g}, {w})")
-
     def compose_cls(b, a):
         """Composite of class b: y -> z after class a: x -> y."""
         (f, w), (g, v) = rep[a], rep[b]
-        u, s = complete_span(g, w)
+        u, s = completion(C, g, w, out)
         return cls_name[(C.compose(u, f), C.compose(s, v))]
 
     all_classes = sorted(rep)
     morphs = [Morphism(c, c[1], c[2]) for c in all_classes]
     idents = {x: cls_name[(C.ident(x), C.ident(x))] for x in C.objects}
-    comp = {}
-    for b in all_classes:
-        for a in all_classes:
-            if a[2] == b[1]:
-                comp[(b, a)] = compose_cls(b, a)
+    ending = {y: [] for y in C.objects}
+    for a in all_classes:
+        ending[a[2]].append(a)
+    comp = {(b, a): compose_cls(b, a)
+            for b in all_classes for a in ending[b[1]]}
     cat = FinCategory(C.objects, morphs, idents, comp)
 
     info = {
@@ -211,13 +190,17 @@ def colimit_vs_gz(mc, x, y, gz=None):
     cos = marked_coslice_category(mc, y)
     elems = [(w, f) for w in cos.objects for f in C.hom(x, C.cod(w))]
     # a triangle ("t", w, w2, a), with a.w = w2, sends (w, f) to (w2, a.f)
-    image = {(w, f): {(w2, C.compose(a, f))
-                      for _, w1, w2, a in cos.morphism_names() if w1 == w}
+    image = {(w, f): {(w2, C.compose(a, f)) for w2 in cos.objects
+                      for _, _, _, a in cos.hom(w, w2)}
              for w, f in elems}
     related = {e: {e2 for e2 in elems if image[e] & image[e2]} for e in elems}
     if any(related[e2] != related[e] for e in elems for e2 in related[e]):
         return Check(False, {"pair": (x, y), "reason": "not transitive"})
-    cls = {(w, f): info["cls"](f, w) for w, f in elems}
+    try:
+        cls = {(w, f): info["cls"](f, w) for w, f in elems}
+    except KeyError:  # the gz of another marking lacks a class
+        return Check(False, {"pair": (x, y),
+                             "reason": "cospan outside the fractions"})
     homs = cat.hom(x, y)
     if set(cls.values()) != set(homs) or any(
             (e2 in related[e]) != (cls[e] == cls[e2])
@@ -235,19 +218,15 @@ def is_filtered_category(cat):
         return Check(False, {"reason": "empty"})
     for a in cat.objects:
         for b in cat.objects:
-            if not any(cat.dom(f) == a and any(
-                    cat.dom(g) == b and cat.cod(g) == cat.cod(f)
-                    for g in cat.morphism_names())
-                    for f in cat.morphism_names()):
+            if not any(cat.hom(a, c) and cat.hom(b, c) for c in cat.objects):
                 return Check(False, {"reason": "no cocone", "pair": (a, b)})
     for f in cat.morphism_names():
-        for g in cat.morphism_names():
-            if cat.dom(f) == cat.dom(g) and cat.cod(f) == cat.cod(g) and f < g:
-                if not any(cat.dom(h) == cat.cod(f)
-                           and cat.compose(h, f) == cat.compose(h, g)
-                           for h in cat.morphism_names()):
-                    return Check(False, {"reason": "no coequalizing arrow",
-                                         "pair": (f, g)})
+        y = cat.cod(f)
+        for g in cat.hom(cat.dom(f), y):
+            if f < g and not any(cat.compose(h, f) == cat.compose(h, g)
+                                 for z in cat.objects for h in cat.hom(y, z)):
+                return Check(False, {"reason": "no coequalizing arrow",
+                                     "pair": (f, g)})
     return Check(True)
 
 
@@ -255,28 +234,16 @@ def marked_coslice_category(mc, x):
     """1-categorical marked coslice at x: objects are marked arrows out
     of x, morphisms are commuting triangles."""
     C = mc.cat
-    W = effective_marking(mc)
-    objs = sorted(w for w in W if C.dom(w) == x)
-    morphs = []
-    comp = {}
-    idents = {}
-    tri = {}
-    for w in objs:
-        for w2 in objs:
-            for a in sorted(C.morphism_names()):
-                if C.dom(a) == C.cod(w) and C.cod(a) == C.cod(w2) \
-                        and C.compose(a, w) == w2:
-                    name = ("t", w, w2, a)
-                    morphs.append(Morphism(name, w, w2))
-                    tri[(w, w2, a)] = name
-    for w in objs:
-        idents[w] = tri[(w, w, C.ident(C.cod(w)))]
-    for m1 in morphs:
-        for m2 in morphs:
-            if m2.dom != m1.cod:
-                continue
-            a = C.compose(m2.name[3], m1.name[3])
-            comp[(m2.name, m1.name)] = tri[(m1.name[1], m2.name[2], a)]
+    _, _, out, _ = marked_tables(mc)
+    objs = out[x]
+    leaving = {w: [Morphism(("t", w, w2, a), w, w2) for w2 in objs
+                   for a in sorted(C.hom(C.cod(w), C.cod(w2)))
+                   if C.compose(a, w) == w2] for w in objs}
+    morphs = [m for w in objs for m in leaving[w]]
+    idents = {w: ("t", w, w, C.ident(C.cod(w))) for w in objs}
+    comp = {(m2.name, m1.name):
+            ("t", m1.dom, m2.cod, C.compose(m2.name[3], m1.name[3]))
+            for m1 in morphs for m2 in leaving[m1.cod]}
     return FinCategory(objs, morphs, idents, comp)
 
 
@@ -364,16 +331,14 @@ def pi0(X):
         (lambda v: uf.find(v))
 
 
-def pi0_mapping_check(mc, x, y, gz=None):
+def pi0_mapping_check(mc, x, y):
     """pi0 of the space of left fractions from x to y vs the gz hom
     classes, as a bijection."""
     res = check_proper_clf(mc)
     if not res.ok:
         raise ValueError(f"needs proper CLF; witness {res.witness}")
-    if gz is None:
-        gz = gz_left_fractions(mc)
     LF = fraction_space_LF(nerve_marked(mc, 3), ("v", x), ("v", y))
-    return _pi0_vs_gz(mc.cat, LF, gz, x, y)
+    return _pi0_vs_gz(mc.cat, LF, gz_left_fractions(mc), x, y)
 
 
 def pi0_mapping_checks(mc, side="L"):
@@ -442,13 +407,6 @@ def compare_localizations(mc):
         s = cell_of(1, mstar[1][("c", f)])
         return cls(s)
 
-    def ho_inverse(m):
-        a, b = ho.dom(m), ho.cod(m)
-        for g in ho.hom(b, a):
-            if ho.compose(g, m) == ho.ident(a) and ho.compose(m, g) == ho.ident(b):
-                return g
-        return None
-
     # object correspondence x -> level-0 element
     objmap = {x: ("ex", 0, _vertex_level0(cache, x)) for x in C.objects}
 
@@ -461,7 +419,7 @@ def compare_localizations(mc):
         x, y = gz_cat.dom(m), gz_cat.cod(m)
         f_, w_ = gz_info["rep"][m]
         wim = ho_edge(w_)
-        winv = ho_inverse(wim)
+        winv = ho.inverse(wim)
         if winv is None:
             ok = False
             witnesses.append({"class": repr(m), "reason": "marked image not invertible"})
@@ -481,14 +439,11 @@ def compare_localizations(mc):
                     witnesses.append({"pair": (x, y), "reason": "hom sets differ",
                                       "gz": len(src), "ho_ex": len(dst)})
         # functoriality
-        for b in gz_cat.morphism_names():
-            for a in gz_cat.morphism_names():
-                if gz_cat.dom(b) != gz_cat.cod(a):
-                    continue
-                if F[gz_cat.compose(b, a)] != ho.compose(F[b], F[a]):
-                    ok = False
-                    witnesses.append({"pair": (repr(a), repr(b)),
-                                      "reason": "functoriality fails"})
+        for (b, a), ba in gz_cat.comp.items():
+            if F[ba] != ho.compose(F[b], F[a]):
+                ok = False
+                witnesses.append({"pair": (repr(a), repr(b)),
+                                  "reason": "functoriality fails"})
         # commutation with the canonical functors
         for f in C.morphism_names():
             if F[gz_info["canonical"](f)] != ho_edge(f):
@@ -536,7 +491,7 @@ def colimit_preservation_probe(mc, diagram):
 
     def cocones(cat, ff, gg):
         ends = [cat.cod(ff), cat.cod(gg)][:legs]
-        outs = [[m for m in sorted(cat.morphism_names()) if cat.dom(m) == e]
+        outs = [sorted(m for z in cat.objects for m in cat.hom(e, z))
                 for e in ends]
         return [c for c in product(*outs)
                 if len({cat.cod(m) for m in c}) == 1

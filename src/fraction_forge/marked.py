@@ -143,16 +143,10 @@ def is_weakly_closed(mx):
 
 def cat_is_two_out_of_three(mc):
     """2-out-of-3 for a marked category (identities counted marked)."""
-    cat = mc.cat
     marked = effective_marking(mc)
-    for g in cat.morphism_names():
-        for f in cat.morphism_names():
-            if cat.dom(g) != cat.cod(f):
-                continue
-            h = cat.compose(g, f)
-            ms = [f in marked, g in marked, h in marked]
-            if sum(ms) == 2:
-                return Check(False, {"f": f, "g": g, "gf": h})
+    for (g, f), h in mc.cat.comp.items():
+        if (f in marked) + (g in marked) + (h in marked) == 2:
+            return Check(False, {"f": f, "g": g, "gf": h})
     return Check(True)
 
 

@@ -90,13 +90,17 @@ class FinCategory:
     def morphism_names(self):
         return list(self.morphisms)
 
-    def is_iso(self, f):
+    def inverse(self, f):
+        """The inverse of ``f``, or None if ``f`` is not an isomorphism."""
         m = self.morphisms[f]
         for g in self.hom(m.cod, m.dom):
             if (self.compose(g, f) == self.ident(m.dom)
                     and self.compose(f, g) == self.ident(m.cod)):
-                return True
-        return False
+                return g
+        return None
+
+    def is_iso(self, f):
+        return self.inverse(f) is not None
 
     # -- construction ----------------------------------------------------
 

@@ -172,12 +172,12 @@ def cat_from_dict(d, where="<input>"):
     idents = d["identities"]
     if not isinstance(idents, dict) or not _strings(idents.values()):
         fail("identities must map objects to morphism names")
-    names = {m.name: m for m in morphs}
+    names = {m.name for m in morphs}
+    for x, e in idents.items():
+        if e not in names:
+            fail(f"identity {e!r} of {x!r} is not a listed morphism")
     # identity composites may be omitted from the file; fill them in
     for m in morphs:
-        for x, e in idents.items():
-            if e not in names:
-                fail(f"identity {e!r} of {x!r} is not a listed morphism")
         if m.dom in idents:
             comp.setdefault((m.name, idents[m.dom]), m.name)
         if m.cod in idents:

@@ -137,14 +137,13 @@ def nerve_category(cat, bound):
     faces = {}
     cells[0] = [("v", x) for x in cat.objects]
     nonid = [f for f in cat.morphism_names() if not cat.is_identity(f)]
-    prev = [()]
+    out = {x: [] for x in cat.objects}
+    for f in nonid:
+        out[cat.dom(f)].append(f)
+    prev = [(f,) for f in nonid]
     for d in range(1, bound + 1):
-        cur = []
-        for chain in ([()] if d == 1 else prev):
-            for f in nonid:
-                if not chain or cat.dom(f) == cat.cod(chain[-1]):
-                    cur.append(chain + (f,))
-        prev = cur
+        cur = prev if d == 1 else [chain + (f,) for chain in prev
+                                   for f in out[cat.cod(chain[-1])]]
         cells[d] = [("c",) + chain for chain in cur]
         for chain in cur:
             cell = ("c",) + chain

@@ -1,10 +1,18 @@
-"""Differential oracles for ``fraction_forge.localize.gz_left_fractions``:
-localization homs by brute force over zigzag words, and composition
-over every representative and every completion."""
+"""Differential oracles for ``fraction_forge.localize``: localization
+homs by brute force over zigzag words, composition over every
+representative and every completion, and full-scan versions of the
+fraction category, the marked coslice, the filteredness check and the
+category nerve, which find the arrows out of or into an object by
+scanning every morphism."""
 
 from itertools import product
 
+from fraction_forge.fractions import check_clf_classical
 from fraction_forge.marked import effective_marking
+from fraction_forge.sset_core.cat import FinCategory, Morphism
+from fraction_forge.sset_core.enumerate import Check
+from fraction_forge.sset_core.nerves import normalize_chain
+from fraction_forge.sset_core.sset import SSet
 from fraction_forge.sset_core.unionfind import UnionFind
 
 
@@ -116,3 +124,176 @@ def composites_agree(mc, cat, info):
                                             C.compose(s, v)) != ba:
                         return False
     return True
+
+
+def gz_left_fractions(mc):
+    """Category of left fractions C W^{-1} with its canonical functor.
+
+    Returns ``(cat, info)``; ``info`` has ``cls`` mapping a cospan
+    ``(f, w)`` to its class name, ``canonical`` mapping a morphism of C
+    to the class of ``(f, id)``, and ``rep`` mapping a class to its
+    first cospan.  Requires classical CLF.
+    """
+    res = check_clf_classical(mc)
+    if not res.ok:
+        raise ValueError(f"left fractions need CLF; witness {res.witness}")
+    C = mc.cat
+    W = effective_marking(mc)
+    names = sorted(C.morphism_names())
+
+    cospans = {}
+    for x in C.objects:
+        for y in C.objects:
+            cs = []
+            for f in names:
+                if C.dom(f) != x:
+                    continue
+                for w in sorted(W):
+                    if C.dom(w) == y and C.cod(w) == C.cod(f):
+                        cs.append((f, w))
+            cospans[(x, y)] = cs
+
+    uf = UnionFind()
+    for cs in cospans.values():
+        for c in cs:
+            uf.add(c)
+    for (x, y), cs in cospans.items():
+        for f, w in cs:
+            t0 = C.cod(f)
+            for p in names:
+                if C.dom(p) != t0:
+                    continue
+                pw = C.compose(p, w)
+                if pw not in W:
+                    continue
+                uf.union((f, w), (C.compose(p, f), pw))
+
+    cls_name = {}
+    rep = {}
+    for (x, y), cs in cospans.items():
+        seen = {}
+        for c in cs:
+            r = uf.find(c)
+            if r not in seen:
+                seen[r] = ("gz", x, y, len(seen))
+                rep[seen[r]] = c
+            cls_name[c] = seen[r]
+
+    def complete_span(g, w):
+        """Condition-(2) completion of the span (g, w) sharing a source:
+        the first (g', w2) with g'.w = w2.g and w2 marked."""
+        for u in names:
+            if C.dom(u) != C.cod(w):
+                continue
+            for s in names:
+                if s not in W or C.dom(s) != C.cod(g) or C.cod(s) != C.cod(u):
+                    continue
+                if C.compose(u, w) == C.compose(s, g):
+                    return u, s
+        raise ValueError(f"CLF completion missing for span ({g}, {w})")
+
+    def compose_cls(b, a):
+        """Composite of class b: y -> z after class a: x -> y."""
+        (f, w), (g, v) = rep[a], rep[b]
+        u, s = complete_span(g, w)
+        return cls_name[(C.compose(u, f), C.compose(s, v))]
+
+    all_classes = sorted(rep)
+    morphs = [Morphism(c, c[1], c[2]) for c in all_classes]
+    idents = {x: cls_name[(C.ident(x), C.ident(x))] for x in C.objects}
+    comp = {}
+    for b in all_classes:
+        for a in all_classes:
+            if a[2] == b[1]:
+                comp[(b, a)] = compose_cls(b, a)
+    cat = FinCategory(C.objects, morphs, idents, comp)
+
+    info = {
+        "cls": lambda f, w: cls_name[(f, w)],
+        "canonical": lambda f: cls_name[(f, C.ident(C.cod(f)))],
+        "rep": rep,
+    }
+    return cat, info
+
+
+def is_filtered_category(cat):
+    if not cat.objects:
+        return Check(False, {"reason": "empty"})
+    for a in cat.objects:
+        for b in cat.objects:
+            if not any(cat.dom(f) == a and any(
+                    cat.dom(g) == b and cat.cod(g) == cat.cod(f)
+                    for g in cat.morphism_names())
+                    for f in cat.morphism_names()):
+                return Check(False, {"reason": "no cocone", "pair": (a, b)})
+    for f in cat.morphism_names():
+        for g in cat.morphism_names():
+            if cat.dom(f) == cat.dom(g) and cat.cod(f) == cat.cod(g) and f < g:
+                if not any(cat.dom(h) == cat.cod(f)
+                           and cat.compose(h, f) == cat.compose(h, g)
+                           for h in cat.morphism_names()):
+                    return Check(False, {"reason": "no coequalizing arrow",
+                                         "pair": (f, g)})
+    return Check(True)
+
+
+def marked_coslice_category(mc, x):
+    """1-categorical marked coslice at x: objects are marked arrows out
+    of x, morphisms are commuting triangles."""
+    C = mc.cat
+    W = effective_marking(mc)
+    objs = sorted(w for w in W if C.dom(w) == x)
+    morphs = []
+    comp = {}
+    idents = {}
+    tri = {}
+    for w in objs:
+        for w2 in objs:
+            for a in sorted(C.morphism_names()):
+                if C.dom(a) == C.cod(w) and C.cod(a) == C.cod(w2) \
+                        and C.compose(a, w) == w2:
+                    name = ("t", w, w2, a)
+                    morphs.append(Morphism(name, w, w2))
+                    tri[(w, w2, a)] = name
+    for w in objs:
+        idents[w] = tri[(w, w, C.ident(C.cod(w)))]
+    for m1 in morphs:
+        for m2 in morphs:
+            if m2.dom != m1.cod:
+                continue
+            a = C.compose(m2.name[3], m1.name[3])
+            comp[(m2.name, m1.name)] = tri[(m1.name[1], m2.name[2], a)]
+    return FinCategory(objs, morphs, idents, comp)
+
+
+def nerve_category(cat, bound):
+    """Nerve of a finite category, truncated at ``bound``."""
+    cells = [[] for _ in range(bound + 1)]
+    faces = {}
+    cells[0] = [("v", x) for x in cat.objects]
+    nonid = [f for f in cat.morphism_names() if not cat.is_identity(f)]
+    prev = [()]
+    for d in range(1, bound + 1):
+        cur = []
+        for chain in ([()] if d == 1 else prev):
+            for f in nonid:
+                if not chain or cat.dom(f) == cat.cod(chain[-1]):
+                    cur.append(chain + (f,))
+        prev = cur
+        cells[d] = [("c",) + chain for chain in cur]
+        for chain in cur:
+            cell = ("c",) + chain
+            fs = []
+            for i in range(d + 1):
+                if i == 0:
+                    rest = chain[1:]
+                    fs.append(normalize_chain(cat, rest, cat.cod(chain[0])))
+                elif i == d:
+                    fs.append(normalize_chain(cat, chain[:-1], cat.dom(chain[0])))
+                else:
+                    comp = cat.compose(chain[i], chain[i - 1])
+                    rest = chain[:i - 1] + (comp,) + chain[i + 1:]
+                    fs.append(normalize_chain(cat, rest, cat.dom(chain[0])))
+            faces[cell] = fs
+        prev = cur
+    return SSet(bound, cells, faces)

@@ -22,7 +22,6 @@ from fraction_forge.sset_core import (
     boundary,
     horn,
     is_quasicategory_upto,
-    nerve_poset,
     standard_simplex,
 )
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset

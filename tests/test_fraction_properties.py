@@ -1,7 +1,10 @@
 """The indexed fraction deciders against the full-scan oracle of
 ``tests/reference_fractions.py``, on every marking of the corpus
-categories and on generated ones, and the equivalence theorem
-(1-categorical proper CLF/CRF ⇔ nerve CLF/CRF) on generated categories.
+categories and on generated ones; the fraction categories, marked
+coslices, filteredness verdicts and nerves against the full scans of
+``tests/reference_localize.py`` on generated categories; and the
+equivalence theorem (1-categorical proper CLF/CRF ⇔ nerve CLF/CRF) on
+generated categories.
 
 Generated categories are posets of up to 4 elements, the cyclic groups
 ℤ/n and the truncated monoids ℕ/(n = n+1) for n ≤ 4, and products of
@@ -16,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_fractions as ref
+import reference_localize as ref_localize
 from fraction_forge.cli import NERVE_L_SHAPES, NERVE_R_SHAPES, corpus_path
 from fraction_forge.fractions import (
     check_clf_classical,
@@ -25,9 +29,15 @@ from fraction_forge.fractions import (
     check_proper_clf,
     check_proper_crf,
 )
+from fraction_forge.localize import (
+    gz_left_fractions,
+    is_filtered_category,
+    marked_coslice_category,
+)
 from fraction_forge.marked import MarkedCategory, nerve_marked
 from fraction_forge.sset_core import io as ffio
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
+from fraction_forge.sset_core.nerves import nerve_category
 
 DECIDERS = [(check_clf_classical, ref.check_clf_classical),
             (check_crf_classical, ref.check_crf_classical),
@@ -135,6 +145,13 @@ PROPERNESS_FAILS = MarkedCategory(
                                                         [("0", "1")]))),
     {"(g0,0<=1)", "(g1,0<=1)"})
 
+# the monoid {u, z, a} with z absorbing and a.a = z, its arrows listed
+# out of name order: the coslice triangles z -> z are u, z and a, which
+# the coslice lists by name
+UNSORTED_HOMS = MarkedCategory(
+    monoid(["u", "z", "a"], lambda i, j: j if i == 0 else i if j == 0 else 1),
+    {"z"})
+
 SETTINGS = dict(derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -149,6 +166,37 @@ def test_deciders_match_the_oracle_on_generated_categories(mc):
     assert mc.opposite().cat is C.opposite()
     C.opposite().validate()
     assert_deciders_match(mc)
+
+
+def same_category(got, want):
+    assert got.objects == want.objects
+    assert list(got.morphisms.values()) == list(want.morphisms.values())
+    assert got.identities == want.identities
+    assert list(got.comp.items()) == list(want.comp.items())
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(marked_categories(DECIDER_CATS))
+@example(PROPERNESS_FAILS)
+@example(UNSORTED_HOMS)
+def test_localize_constructions_match_the_full_scans(mc):
+    C = mc.cat
+    # left fractions of the category and of its dual (right fractions)
+    for side in (mc, mc.opposite()):
+        if check_clf_classical(side).ok:
+            (cat, info), (want, want_info) = (
+                gz_left_fractions(side), ref_localize.gz_left_fractions(side))
+            same_category(cat, want)
+            assert info["rep"] == want_info["rep"]
+    for x in C.objects:
+        cos = marked_coslice_category(mc, x)
+        same_category(cos, ref_localize.marked_coslice_category(mc, x))
+        assert is_filtered_category(cos) == \
+            ref_localize.is_filtered_category(cos)
+    assert is_filtered_category(C) == ref_localize.is_filtered_category(C)
+    N, want = nerve_category(C, 3), ref_localize.nerve_category(C, 3)
+    assert N.cells == want.cells
+    assert list(N.faces.items()) == list(want.faces.items())
 
 
 @settings(max_examples=80, **SETTINGS)
@@ -174,3 +222,9 @@ def test_generators_cover_their_families():
     for x, y in product(C.objects, repeat=2):
         assert C.hom(x, y) == tuple(f for f in C.morphism_names()
                                     if (C.dom(f), C.cod(f)) == (x, y))
+
+
+def test_inverse():
+    assert cyclic(5).inverse("g2") == "g3" and cyclic(5).inverse("g0") == "g0"
+    chain = FinCategory.from_poset(Poset(["0", "1"], [("0", "1")]))
+    assert chain.inverse("0<=1") is None

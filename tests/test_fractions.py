@@ -2,7 +2,6 @@ import pytest
 
 from fraction_forge.fractions import (
     L_SHAPES,
-    R_SHAPES,
     build_sihd_jk,
     build_sihd_prodjoin,
     check_clf_classical,

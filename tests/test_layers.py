@@ -97,12 +97,13 @@ def imported_module(node, package):
 
 def uses(tree, module, names):
     """The ``(module, name)`` pairs a caller uses: each name it imports
-    from a package module, each attribute it reads off a package module,
-    and, when ``module`` is the caller's own dotted name, each name of
-    that module it reads bare outside its own definition.  A package
-    module is a name bound to one by an import, or an attribute named
-    after one (``P.localize``).  ``names`` are the package's modules."""
-    aliases, found = {}, set()
+    from a package module and reads, each attribute it reads off a
+    package module, and, when ``module`` is the caller's own dotted
+    name, each name of that module it reads bare outside its own
+    definition.  A package module is a name bound to one by an import,
+    or an attribute named after one (``P.localize``).  ``names`` are the
+    package's modules."""
+    aliases, imported, found = {}, {}, set()
     short = {}
     for m in names:
         short.setdefault(m.rpartition(".")[2], []).append(m)
@@ -115,7 +116,7 @@ def uses(tree, module, names):
                 if sub in names:
                     aliases[a.asname or a.name] = sub
                 else:
-                    found.add((src, a.name))
+                    imported[a.asname or a.name] = (src, a.name)
         elif isinstance(node, ast.Import):
             for a in node.names:
                 parts = a.name.split(".")
@@ -132,9 +133,11 @@ def uses(tree, module, names):
             elif isinstance(base, ast.Attribute) \
                     and len(short.get(base.attr, ())) == 1:
                 found.add((short[base.attr][0], node.attr))
-        elif isinstance(node, ast.Name) and module is not None \
-                and id(node) not in own:
-            found.add((module, node.id))
+        elif isinstance(node, ast.Name):
+            if node.id in imported and isinstance(node.ctx, ast.Load):
+                found.add(imported[node.id])
+            if module is not None and id(node) not in own:
+                found.add((module, node.id))
     return found
 
 
@@ -142,14 +145,17 @@ def test_uses_resolve_names_not_spellings():
     names = set(module_paths())
     tree = ast.parse(
         "from .build import product\n"
+        "from .sset import SSet\n"
         "from . import io as ffio\n"
         "import fraction_forge.cli as cli\n"
         "def join(x):\n"
         "    return join(x)\n"
         "''.join(x); ffio.read_json(x); P.localize.pi0(x); cli.main()\n"
-        "nerve_category(x)\n")
+        "nerve_category(x); product(x, x)\n")
     found = uses(tree, "sset_core.nerves", names)
     assert ("sset_core.build", "product") in found
+    # an import the module never reads is no use
+    assert ("sset_core.sset", "SSet") not in found
     assert ("sset_core.io", "read_json") in found
     assert ("localize", "pi0") in found
     assert ("cli", "main") in found

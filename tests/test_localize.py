@@ -195,6 +195,11 @@ def test_colimit_vs_gz():
     # the fractions of another marking: 1 <= 2 inverted gives a 2 -> 1
     inverted = gz_left_fractions(MarkedCategory(chain_cat(2), {"1<=2"}))
     assert not colimit_vs_gz(unmarked, 2, 1, gz=inverted).ok
+    # the fractions of a marking without 1 <= 2 have no class for its cospans
+    res = colimit_vs_gz(MarkedCategory(chain_cat(2), {"1<=2"}), 1, 1,
+                        gz=gz_left_fractions(unmarked))
+    assert (res.ok, res.witness) == (
+        False, {"pair": (1, 1), "reason": "cospan outside the fractions"})
 
 
 # -- filteredness --------------------------------------------------------
@@ -288,10 +293,9 @@ def test_right_fraction_space_matches_gz():
 
 def test_pi0_mapping_check():
     for mc in (walking_marked_arrow(), marked_segment_poset()):
-        gz = gz_left_fractions(mc)
         for x in mc.cat.objects:
             for y in mc.cat.objects:
-                assert pi0_mapping_check(mc, x, y, gz=gz).ok, (x, y)
+                assert pi0_mapping_check(mc, x, y).ok, (x, y)
 
 
 @pytest.mark.parametrize("name", CORPUS_CATS)

@@ -13,7 +13,6 @@ from fraction_forge.sset_core import (
     nerve_poset,
     opposite_sset,
     product,
-    simplex_inclusion,
     standard_simplex,
 )
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
@@ -113,6 +112,7 @@ def test_nerve_category_walking_iso():
     assert counts(N) == [2, 2, 2, 2]
     assert is_quasicategory_upto(N, 3).ok
     assert C.is_iso("u") and C.is_iso("v")
+    assert (C.inverse("u"), C.inverse("v")) == ("v", "u")
 
 
 def test_opposite_involution():
@@ -154,6 +154,12 @@ def test_io_roundtrip():
     bad["faces"][first] = [[[], "nope"]] * len(bad["faces"][first])
     with pytest.raises(io.FormatError):
         io.sset_from_dict(bad)
+    # an identity that names no morphism is reported as such, even when
+    # the file lists no morphisms at all
+    with pytest.raises(io.FormatError,
+                       match="identity 'x' of 'a' is not a listed morphism"):
+        io.cat_from_dict({"objects": ["a"], "morphisms": [],
+                          "identities": {"a": "x"}, "comp": []})
 
 
 def test_dim_bound_refusal():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fraction_forge.dht import a1_bfs_oracle, cycle, graph_from_dict, interval, make_graph
+from fraction_forge.dht import a1_bfs_oracle, graph_from_dict, make_graph
 from fraction_forge.fractions import check_clf_classical, check_proper_clf, check_proper_crf
 from fraction_forge.marked import MarkedCategory, cat_is_two_out_of_three
 from fraction_forge.sset_core import io as ffio
