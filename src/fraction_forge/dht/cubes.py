@@ -55,7 +55,6 @@ class StableCube:
 
     def _drop_slice(self, axis, end):
         m = self.extents[axis]
-        keep = lambda x: (x > 0) if end == 0 else (x < m)
         shift = 1 if end == 0 else 0
         new_ext = self.extents[:axis] + (m - 1,) + self.extents[axis + 1:]
         fn = lambda p: self.value(p[:axis] + (p[axis] + shift,) + p[axis + 1:])

@@ -17,7 +17,7 @@ from .sset_core.cat import Poset
 # ``enumerate_maps`` stays importable from here: perfbench's tracer tests
 # read it under this name
 from .sset_core.enumerate import Check, enumerate_maps  # noqa: F401
-from .sset_core.nerves import nerve_map, nerve_poset, sub_sset
+from .sset_core.nerves import nerve_map, nerve_poset
 from .sset_core.ops import identity_op
 from .sset_core.sset import Simplex
 
@@ -268,6 +268,23 @@ def validate_sihd(ambient, image_cells, decomposition):
     return Check(True, {"missing": total_missing})
 
 
+def _decomposition(N, image, split):
+    """The classes ``A`` and ``B`` and face indices ``d`` of a simple
+    inner horn decomposition of the chains of ``N`` outside ``image``,
+    in every dimension up to N's top; ``split(chain)`` gives the 1-based
+    index of the chain's class and whether that class is in ``A``."""
+    decomposition = {}
+    for m in range(N.top_dim() + 1):
+        A = [[] for _ in range(m - 1)]
+        B = [[] for _ in range(m)]
+        for chain in N.cells[m]:
+            if chain not in image:
+                j, in_A = split(chain)
+                (A if in_A else B)[j - 1].append(chain)
+        decomposition[m] = {"A": A, "B": B, "d": list(range(1, m))}
+    return decomposition
+
+
 def build_sihd_jk(n, k):
     """The decomposition of J^n_k inside K^n_k (subdivision subcomplexes).
 
@@ -277,34 +294,16 @@ def build_sihd_jk(n, k):
     if not (0 < k <= n) or n > 4:
         raise ValueError("need 0 < k <= n <= 4")
     full = frozenset(range(n + 1))
-    facet = full - {k}
-    ambient = subset_nerve(n, omit=(facet,))
+    ambient = subset_nerve(n, omit=(full - {k},))
     N = ambient.base
+    # J^n_k: the chains that miss [n] or start at a subset containing k
+    image = {c for cs in N.cells for c in cs if full not in c or k in c[0]}
 
-    def in_J(chain):
-        if all(A not in (full, facet) for A in chain):
-            return True
-        return k in chain[0]
+    def split(chain):
+        j = next(i for i, A in enumerate(chain) if k in A)
+        return j, j < len(chain) - 1 and chain[j] == chain[j - 1] | {k}
 
-    image = {c for cs in N.cells for c in cs if in_J(c)}
-
-    top = N.top_dim()
-    decomposition = {}
-    for m in range(top + 1):
-        S = [[] for _ in range(max(m - 1, 0))]
-        T = [[] for _ in range(m)] if m >= 1 else []
-        for chain in N.cells[m]:
-            if chain in image:
-                continue
-            # missing chains end at [n] with k not in the first subset
-            j = next(i for i, Aset in enumerate(chain) if k in Aset)
-            if j <= m - 1 and chain[j] == chain[j - 1] | {k}:
-                S[j - 1].append(chain)
-            else:
-                T[j - 1].append(chain)
-        decomposition[m] = {"A": S, "B": T,
-                            "d": list(range(1, max(m - 1, 0) + 1))}
-    return ambient, image, decomposition
+    return ambient, image, _decomposition(N, image, split)
 
 
 def build_sihd_prodjoin(P_marked, Q):
@@ -325,10 +324,9 @@ def build_sihd_prodjoin(P_marked, Q):
             return a == b
         return poset.leq(a[0], b[0]) and a[1] <= b[1]
 
-    big = Poset.from_leq(elems, leq)
-    # longest chains: alternating chains of P-chains with a level step + cone
-    bound = _longest_chain(poset) + 2  # one level flip plus the cone point
-    N = nerve_poset(big, bound)
+    # a chain below the cone point has at most |P| + 1 elements: one per
+    # element of P, plus one where the level flips
+    N = nerve_poset(Poset.from_leq(elems, leq), len(poset.elements) + 1)
     marked = set()
     for c in N.cells[1]:
         a, b = c
@@ -337,52 +335,42 @@ def build_sihd_prodjoin(P_marked, Q):
                 marked.add(c)
         elif a[0] == b[0] or (a[0], b[0]) in marked_pairs:
             marked.add(c)
-    ambient = MarkedSSet(N, marked)
+    # missing: the chains from level 0 to the cone point
+    image = {c for cs in N.cells for c in cs
+             if not (c[0] != TOP and c[0][1] == 0 and c[-1] == TOP)}
 
-    def in_image(chain):
-        return not (chain[0] != TOP and chain[0][1] == 0 and chain[-1] == TOP)
+    def split(chain):
+        # chain = ((x0,0) <= ... <= (x_{m-1}, e_{m-1}) <= TOP); j follows
+        # the last level-0 element
+        j = max(i for i, (_, e) in enumerate(chain[:-1]) if e == 0) + 1
+        return j, j < len(chain) - 1 and chain[j][0] == chain[j - 1][0]
 
-    image = {c for cs in N.cells for c in cs if in_image(c)}
-
-    top = N.top_dim()
-    decomposition = {}
-    for m in range(top + 1):
-        A = [[] for _ in range(max(m - 1, 0))]
-        B = [[] for _ in range(m)] if m >= 1 else []
-        for chain in N.cells[m]:
-            if chain in image:
-                continue
-            # chain = ((x0,0) <= ... <= (x_{m-1}, e_{m-1}) <= TOP)
-            eps = [el[1] for el in chain[:-1]]
-            xs = [el[0] for el in chain[:-1]]
-            j = max(i for i, e in enumerate(eps) if e == 0)
-            kk = j + 1
-            if kk <= m - 1 and xs[kk] == xs[kk - 1]:
-                A[kk - 1].append(chain)
-            else:
-                B[kk - 1].append(chain)
-        decomposition[m] = {"A": A, "B": B,
-                            "d": list(range(1, max(m - 1, 0) + 1))}
-    return ambient, image, decomposition
-
-
-def _longest_chain(poset):
-    best = {}
-
-    def depth(x):
-        if x in best:
-            return best[x]
-        d = 0
-        for y in poset.elements:
-            if y != x and poset.leq(y, x):
-                d = max(d, depth(y) + 1)
-        best[x] = d
-        return d
-
-    return max((depth(x) for x in poset.elements), default=0)
+    return MarkedSSet(N, marked), image, _decomposition(N, image, split)
 
 
 # -- retraction checks ---------------------------------------------------
+
+def _marked_retract(low, high, sec, ret):
+    """Check that the monotone maps of subsets ``sec`` and ``ret`` make
+    the marked subset-poset nerve ``low`` a retract of ``high``: the
+    nerve maps s: low -> high and r: high -> low they induce are
+    simplicial, send marked edges to marked edges, and r.s is the
+    identity."""
+    s = nerve_map(sec, low.base, high.base)
+    r = nerve_map(ret, high.base, low.base)
+    s.validate()
+    r.validate()
+    for f, src, dst, name in ((s, low, high, "section"),
+                              (r, high, low, "retraction")):
+        for c in src.base.cells[1]:
+            if c in src.marked and not dst.is_marked(f.on_cell(c)):
+                return Check(False, {"edge": c, "map": name})
+    for d, cs in enumerate(low.base.cells):
+        for c in cs:
+            if r(s.on_cell(c)) != Simplex(identity_op(d), c):
+                return Check(False, {"section": c})
+    return Check(True)
+
 
 def retract_check(kind, n, k):
     """Verify one of the three retraction lemmas by direct computation.
@@ -391,92 +379,35 @@ def retract_check(kind, n, k):
     Sd Λ^n_k -> Sd Δⁿ via A -> A ∪ {k}), "Knk-in-Sd" (K^n_k has a
     marking-preserving retraction from Sd Δⁿ, k < n), or
     "k-eq-n-redundant" (L-J^n_n -> L-I^n_n retracts off level n+1).
+    Each kind names its pairs ``(low, high)`` and its section and
+    retraction on subsets; ``_marked_retract`` checks every pair.
     """
+    full = frozenset(range(n + 1))
     if kind == "J-in-SdHorn":
         if not (0 <= k <= n and n <= 3):
             raise ValueError("need 0 <= k <= n <= 3")
-        full = frozenset(range(n + 1))
-        facet = full - {k}
-        msd = subset_nerve(n)
-        Nsd = msd.base
-        horn_cells = {c for cs in Nsd.cells for c in cs
-                      if all(A not in (full, facet) for A in c)}
-        NH = sub_sset(Nsd, lambda c: c in horn_cells)
-        I = shape(n, k, "L", "I")
-        J = shape(n, k, "L", "J")
-        # section: shapes are chain nerves over a sub-poset of sd
-        # retraction r(A) = A ∪ {k}
-        r_full = nerve_map(lambda A: A | {k}, Nsd, I.base)
-        r_horn = nerve_map(lambda A: A | {k}, NH, J.base)
-        for f, src_marked, dst in ((r_full, msd, I), ):
-            f.validate()
-            for c in src_marked.base.cells[1]:
-                if c in src_marked.marked and not dst.is_marked(f.on_cell(c)):
-                    return Check(False, {"edge": c})
-        r_horn.validate()
-        # r restricted to the shape is the identity (section property)
-        for d, cs in enumerate(I.base.cells):
-            for c in cs:
-                if r_full.on_cell(c) != Simplex(identity_op(d), c):
-                    return Check(False, {"section": c})
-        # square commutes: horn-level retraction is the restriction
-        for d, cs in enumerate(NH.cells):
-            for c in cs:
-                if r_horn.on_cell(c) != r_full.on_cell(c):
-                    return Check(False, {"square": c})
-        return Check(True)
-
-    if kind == "Knk-in-Sd":
+        horn = subset_nerve(n, omit=(full, full - {k}))
+        pairs = [(shape(n, k, "L", "J"), horn),
+                 (shape(n, k, "L", "I"), subset_nerve(n))]
+        sec, ret = (lambda A: A), (lambda A: A | {k})
+    elif kind == "Knk-in-Sd":
         if not (0 <= k < n and n <= 3):
             raise ValueError("need 0 <= k < n <= 3")
-        full = frozenset(range(n + 1))
         facet = full - {k}
-        msd = subset_nerve(n)
-        mk = subset_nerve(n, omit=(facet,))
-        NK = mk.base
-        r = nerve_map(lambda A: full if A == facet else A, msd.base, NK)
-        r.validate()
-        for c in msd.base.cells[1]:
-            if c in msd.marked and not mk.is_marked(r.on_cell(c)):
-                return Check(False, {"edge": c})
-        for d, cs in enumerate(NK.cells):
-            for c in cs:
-                if r.on_cell(c) != Simplex(identity_op(d), c):
-                    return Check(False, {"section": c})
-        return Check(True)
-
-    if kind == "k-eq-n-redundant":
+        pairs = [(subset_nerve(n, omit=(facet,)), subset_nerve(n))]
+        sec, ret = (lambda A: A), (lambda A: full if A == facet else A)
+    elif kind == "k-eq-n-redundant":
         if not (1 <= n <= 2):
             raise ValueError("need 1 <= n <= 2 (level n+1 shape must fit in n <= 3)")
-        Jlow = shape(n, n, "L", "J")
-        Ilow = shape(n, n, "L", "I")
-        Jhigh = shape(n + 1, n, "L", "J")
-        Ihigh = shape(n + 1, n, "L", "I")
-
-        def sec(A):
-            return frozenset(A) | {n + 1}
-
-        def ret(A):
-            if n + 1 in A:
-                return frozenset(x if x <= n else n for x in A)
-            return frozenset({n})
-
-        for (low, high) in ((Jlow, Jhigh), (Ilow, Ihigh)):
-            s = nerve_map(sec, low.base, high.base)
-            r = nerve_map(ret, high.base, low.base)
-            s.validate()
-            r.validate()
-            for c in low.base.cells[1]:
-                if c in low.marked and not high.is_marked(s.on_cell(c)):
-                    return Check(False, {"edge": c, "map": "section"})
-            for c in high.base.cells[1]:
-                if c in high.marked and not low.is_marked(r.on_cell(c)):
-                    return Check(False, {"edge": c, "map": "retraction"})
-            for d, cs in enumerate(low.base.cells):
-                for c in cs:
-                    rc = r(s.on_cell(c))
-                    if rc != Simplex(identity_op(d), c):
-                        return Check(False, {"section": c})
-        return Check(True)
-
-    raise ValueError(f"unknown retraction kind {kind!r}")
+        pairs = [(shape(n, n, "L", v), shape(n + 1, n, "L", v))
+                 for v in ("J", "I")]
+        sec, ret = (lambda A: A | {n + 1}), (
+            lambda A: frozenset(min(x, n) for x in A) if n + 1 in A
+            else frozenset({n}))
+    else:
+        raise ValueError(f"unknown retraction kind {kind!r}")
+    for low, high in pairs:
+        res = _marked_retract(low, high, sec, ret)
+        if not res.ok:
+            return res
+    return Check(True)

@@ -81,15 +81,6 @@ def ho_of_qcat(X):
         if prev is not None and prev != h:
             raise ValueError(f"composition not well-defined at ({g}, {f})")
         comp[(g, f)] = h
-    by_cod = {}
-    for m in morphs:
-        by_cod.setdefault(m.cod, []).append(m)
-    for g in morphs:
-        for f in by_cod.get(g.dom, []):
-            # f: a -> g.dom, then g
-            if (g.name, f.name) not in comp:
-                raise ValueError(
-                    f"no 2-cell witness for composite ({g.name}, {f.name})")
     cat = FinCategory([v for v in X.cells[0]], morphs, idents, comp)
     return cat, (lambda s: name_of[s])
 
@@ -400,15 +391,14 @@ def compare_localizations(mc):
 
     C = mc.cat
 
+    # object correspondence x -> level-0 element
+    objmap = {x: ("ex", 0, mstar[0][("v", x)]) for x in C.objects}
+
     def ho_edge(f):
         """Ho class of the max* image of a morphism f of C."""
         if C.is_identity(f):
-            return ho.ident(("ex", 0, _vertex_level0(cache, C.dom(f))))
-        s = cell_of(1, mstar[1][("c", f)])
-        return cls(s)
-
-    # object correspondence x -> level-0 element
-    objmap = {x: ("ex", 0, _vertex_level0(cache, x)) for x in C.objects}
+            return ho.ident(objmap[C.dom(f)])
+        return cls(cell_of(1, mstar[1][("c", f)]))
 
     # F(class(f, w)) = (max* w)^{-1} . (max* f)
     F = {}
@@ -452,66 +442,56 @@ def compare_localizations(mc):
     return Check(ok, {"hom_table": hom_table, "witnesses": witnesses})
 
 
-def _vertex_level0(cache, x):
-    for s in cache.levels[0]:
-        if s[0][2] == ("v", x):
-            return s
-    raise ValueError(f"vertex {x!r} not found in level 0")
-
-
 # -- colimit preservation probe -----------------------------------------
 
 
 def colimit_preservation_probe(mc, diagram):
-    """Check a coequalizer/pushout colimit survives localization.
+    """Check that the colimit of a finite diagram in C survives
+    localization.
 
-    ``diagram`` is ``("coeq", f, g)`` (parallel pair) or
-    ``("pushout", f, g)`` (span with common domain).  A cocone is a leg
-    out of each end of the diagram, to a common apex, that equalizes
-    the two arrows.  The colimit in C is the first cocone through which
-    every cocone factors uniquely; its image in the fraction category
-    must have the same property.  The witness of a failure is a cocone
-    and its number of factorings.
+    ``diagram`` is ``(objects, arrows)``, each arrow ``(i, j, f)`` with
+    ``f: objects[i] -> objects[j]``; coequalizers, pushouts, coproducts
+    and the initial object ``([], [])`` are instances.  A cocone is an
+    apex z with a leg out of each object such that ``legs[j] . f ==
+    legs[i]`` for every arrow.  The colimit in C is the first cocone
+    through which every cocone factors uniquely; its image in the
+    fraction category must have the same property.  The witness of a
+    failure is a cocone and its number of factorings.
     """
     res = check_proper_clf(mc)
     if not res.ok:
         raise ValueError(f"probe needs proper CLF; witness {res.witness}")
     C = mc.cat
-    kind, f, g = diagram
-    if kind == "coeq":
-        if C.dom(f) != C.dom(g) or C.cod(f) != C.cod(g):
-            raise ValueError("coequalizer needs a parallel pair")
-        legs = 1  # f and g both land in the one end
-    elif kind == "pushout":
-        if C.dom(f) != C.dom(g):
-            raise ValueError("pushout needs a span")
-        legs = 2  # f lands in the first end, g in the second
-    else:
-        raise ValueError(f"unknown diagram kind {kind!r}")
+    objects, arrows = diagram
+    n = len(objects)
+    for i, j, f in arrows:
+        if not (0 <= i < n and 0 <= j < n and f in C.morphisms
+                and (C.dom(f), C.cod(f)) == (objects[i], objects[j])):
+            raise ValueError(f"arrow {(i, j, f)!r} does not fit the diagram")
 
-    def cocones(cat, ff, gg):
-        ends = [cat.cod(ff), cat.cod(gg)][:legs]
-        outs = [sorted(m for z in cat.objects for m in cat.hom(e, z))
-                for e in ends]
-        return [c for c in product(*outs)
-                if len({cat.cod(m) for m in c}) == 1
-                and cat.compose(c[0], ff) == cat.compose(c[-1], gg)]
+    def cocones(cat, arrows):
+        return [(z, legs) for z in cat.objects
+                for legs in product(*(sorted(cat.hom(x, z)) for x in objects))
+                if all(cat.compose(legs[j], f) == legs[i]
+                       for i, j, f in arrows)]
 
     def not_universal(cat, colim, cones):
-        for c in cones:
-            n = sum(1 for t in cat.hom(cat.cod(colim[0]), cat.cod(c[0]))
-                    if all(cat.compose(t, a) == b for a, b in zip(colim, c)))
-            if n != 1:
-                return {"cocone": repr(c), "factorings": n}
+        apex, legs = colim
+        for z, c in cones:
+            count = sum(1 for t in cat.hom(apex, z) if all(
+                cat.compose(t, a) == b for a, b in zip(legs, c)))
+            if count != 1:
+                return {"cocone": repr((z, c)), "factorings": count}
         return None
 
-    cones = cocones(C, f, g)
+    cones = cocones(C, arrows)
     colim = next((c for c in cones if not_universal(C, c, cones) is None),
                  None)
     if colim is None:
         raise ValueError("diagram has no colimit in C")
     cat, info = gz_left_fractions(mc)
     canonical = info["canonical"]
-    witness = not_universal(cat, tuple(map(canonical, colim)),
-                            cocones(cat, canonical(f), canonical(g)))
+    witness = not_universal(
+        cat, (colim[0], tuple(map(canonical, colim[1]))),
+        cocones(cat, [(i, j, canonical(f)) for i, j, f in arrows]))
     return Check(witness is None, witness)

@@ -1,5 +1,6 @@
-"""The classical and proper calculus-of-fractions deciders by full scans:
-a differential oracle for ``fraction_forge.fractions``.
+"""The classical and proper calculus-of-fractions deciders by full scans,
+and the simple inner horn decompositions built one loop per shape: a
+differential oracle for ``fraction_forge.fractions``.
 
 Every condition scans every morphism against every marked arrow, in
 sorted order, so the first failing witness is the one the indexed
@@ -7,9 +8,15 @@ deciders must also report.  The opposite category is rebuilt and
 validated from scratch, independently of ``FinCategory.opposite``.
 """
 
-from fraction_forge.marked import MarkedCategory, effective_marking
-from fraction_forge.sset_core.cat import FinCategory, Morphism
+from fraction_forge.marked import (
+    MarkedCategory,
+    MarkedSSet,
+    effective_marking,
+    subset_nerve,
+)
+from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
 from fraction_forge.sset_core.enumerate import Check
+from fraction_forge.sset_core.nerves import nerve_poset
 
 
 def opposite(mc):
@@ -90,3 +97,119 @@ def check_crf_classical(mc):
 
 def check_proper_crf(mc):
     return check_proper_clf(opposite(mc))
+
+
+# -- simple inner horn decompositions -----------------------------------
+
+def build_sihd_jk(n, k):
+    """The decomposition of J^n_k inside K^n_k (subdivision subcomplexes).
+
+    Returns ``(ambient, image_cells, decomposition)`` ready for
+    validate_sihd.  Cells are chains of non-empty subsets of [n].
+    """
+    if not (0 < k <= n) or n > 4:
+        raise ValueError("need 0 < k <= n <= 4")
+    full = frozenset(range(n + 1))
+    facet = full - {k}
+    ambient = subset_nerve(n, omit=(facet,))
+    N = ambient.base
+
+    def in_J(chain):
+        if all(A not in (full, facet) for A in chain):
+            return True
+        return k in chain[0]
+
+    image = {c for cs in N.cells for c in cs if in_J(c)}
+
+    top = N.top_dim()
+    decomposition = {}
+    for m in range(top + 1):
+        S = [[] for _ in range(max(m - 1, 0))]
+        T = [[] for _ in range(m)] if m >= 1 else []
+        for chain in N.cells[m]:
+            if chain in image:
+                continue
+            # missing chains end at [n] with k not in the first subset
+            j = next(i for i, Aset in enumerate(chain) if k in Aset)
+            if j <= m - 1 and chain[j] == chain[j - 1] | {k}:
+                S[j - 1].append(chain)
+            else:
+                T[j - 1].append(chain)
+        decomposition[m] = {"A": S, "B": T,
+                            "d": list(range(1, max(m - 1, 0) + 1))}
+    return ambient, image, decomposition
+
+
+def build_sihd_prodjoin(P_marked, Q):
+    """The decomposition for the pushout inclusion into (P×Δ¹)⋆Δ⁰.
+
+    ``P_marked`` is a marked poset given as ``(poset, marked_pairs)``
+    with marked_pairs a set of (a, b) related pairs; ``Q`` a subset of
+    its elements.  Returns ``(ambient, image_cells, decomposition)``.
+    """
+    poset, marked_pairs = P_marked
+    TOP = ("top",)
+    elems = [(x, e) for x in poset.elements for e in (0, 1)] + [TOP]
+
+    def leq(a, b):
+        if b == TOP:
+            return True
+        if a == TOP:
+            return a == b
+        return poset.leq(a[0], b[0]) and a[1] <= b[1]
+
+    big = Poset.from_leq(elems, leq)
+    # longest chains: alternating chains of P-chains with a level step + cone
+    bound = _longest_chain(poset) + 2  # one level flip plus the cone point
+    N = nerve_poset(big, bound)
+    marked = set()
+    for c in N.cells[1]:
+        a, b = c
+        if b == TOP:
+            if a[0] in Q:
+                marked.add(c)
+        elif a[0] == b[0] or (a[0], b[0]) in marked_pairs:
+            marked.add(c)
+    ambient = MarkedSSet(N, marked)
+
+    def in_image(chain):
+        return not (chain[0] != TOP and chain[0][1] == 0 and chain[-1] == TOP)
+
+    image = {c for cs in N.cells for c in cs if in_image(c)}
+
+    top = N.top_dim()
+    decomposition = {}
+    for m in range(top + 1):
+        A = [[] for _ in range(max(m - 1, 0))]
+        B = [[] for _ in range(m)] if m >= 1 else []
+        for chain in N.cells[m]:
+            if chain in image:
+                continue
+            # chain = ((x0,0) <= ... <= (x_{m-1}, e_{m-1}) <= TOP)
+            eps = [el[1] for el in chain[:-1]]
+            xs = [el[0] for el in chain[:-1]]
+            j = max(i for i, e in enumerate(eps) if e == 0)
+            kk = j + 1
+            if kk <= m - 1 and xs[kk] == xs[kk - 1]:
+                A[kk - 1].append(chain)
+            else:
+                B[kk - 1].append(chain)
+        decomposition[m] = {"A": A, "B": B,
+                            "d": list(range(1, max(m - 1, 0) + 1))}
+    return ambient, image, decomposition
+
+
+def _longest_chain(poset):
+    best = {}
+
+    def depth(x):
+        if x in best:
+            return best[x]
+        d = 0
+        for y in poset.elements:
+            if y != x and poset.leq(y, x):
+                d = max(d, depth(y) + 1)
+        best[x] = d
+        return d
+
+    return max((depth(x) for x in poset.elements), default=0)

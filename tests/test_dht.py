@@ -23,6 +23,7 @@ from fraction_forge.dht import (
     vertex_cube,
     walk_cube,
 )
+from fraction_forge.dht import lazy
 
 
 def complete_graph(n):
@@ -258,6 +259,27 @@ def test_pullback_projections_and_square():
     assert proj["pi_K"](base) == 0
     res = pullback_square_probe(f, g, base, radius=1, window=1)
     assert res.ok, res.witness
+
+
+def test_pullback_probe_rejects_non_adjacent_neighbours(monkeypatch):
+    # a path-graph neighbour enumerator that shifts every neighbour one
+    # position right: the shifted paths keep their ends, so the
+    # projections stay graph maps, but many are no longer pointwise
+    # adjacent to the vertex they were enumerated from
+    def shifted(K, window=2):
+        PK = path_graph_lazy(K, window)
+        return lazy.LazyGraph(line_canon, PK.adjacent, lambda v: (
+            (start + 1, walk) for start, walk in PK.neighbors(v)))
+
+    monkeypatch.setattr(lazy, "path_graph_lazy", shifted)
+    K, G = cycle(4), interval(2)
+    f = graph_map(G, K, lambda v: v)
+    g = graph_map(K, K, lambda v: v)
+    base = (0, (0, (0,)), (0, (0,)), 0)
+    res = pullback_square_probe(f, g, base, radius=1, window=1)
+    assert not res.ok and res.witness["reason"] == "neighbour not adjacent"
+    P, _ = lazy.pullback_graph_lazy(f, g, window=1)
+    assert not P.adjacent(res.witness["vertex"], res.witness["neighbor"])
 
 
 def test_pullback_rejects_mismatched_cospan():

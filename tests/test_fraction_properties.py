@@ -3,7 +3,8 @@
 categories and on generated ones; the fraction categories, marked
 coslices, filteredness verdicts and nerves against the full scans of
 ``tests/reference_localize.py`` on generated categories; and the
-equivalence theorem (1-categorical proper CLF/CRF ⇔ nerve CLF/CRF) on
+equivalence theorem (1-categorical proper CLF/CRF ⇔ nerve CLF/CRF) and
+the survival of finite colimits and limits under localization on
 generated categories.
 
 Generated categories are posets of up to 4 elements, the cyclic groups
@@ -38,6 +39,7 @@ from fraction_forge.marked import MarkedCategory, nerve_marked
 from fraction_forge.sset_core import io as ffio
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
 from fraction_forge.sset_core.nerves import nerve_category
+from test_acceptance import probe_colimits
 
 DECIDERS = [(check_clf_classical, ref.check_clf_classical),
             (check_crf_classical, ref.check_crf_classical),
@@ -208,6 +210,16 @@ def test_equivalence_theorem_on_generated_categories(mc):
         mN, is_nerve=True, shapes=NERVE_L_SHAPES).ok
     assert check_proper_crf(mc).ok == check_crf_infty(
         mN, is_nerve=True, shapes=NERVE_R_SHAPES).ok
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(marked_categories(atoms(4)))
+def test_finite_colimits_and_limits_survive_localization(mc):
+    # colimits under left fractions; limits under right fractions are
+    # the colimits of the dual under its left fractions
+    for side in (mc, mc.opposite()):
+        if check_proper_clf(side).ok:
+            probe_colimits(side)
 
 
 def test_generators_cover_their_families():

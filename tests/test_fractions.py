@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import pytest
 
+import reference_fractions as ref
 from fraction_forge.fractions import (
     L_SHAPES,
+    _marked_retract,
     build_sihd_jk,
     build_sihd_prodjoin,
     check_clf_classical,
@@ -199,17 +203,24 @@ def test_sihd_rejects_mangled_partition():
     assert not res.ok
 
 
-@pytest.mark.parametrize("shape_key", [(2, 1), (2, 2)])
-def test_sihd_prodjoin_from_shape(shape_key):
-    n, k = shape_key
-    # P = the L-J^n_k poset with its max-equal marking, Q = all of P
+def shape_poset(n, k):
+    """The L-J^n_k poset with its max-equal marking."""
     sub = [A for A in
            [frozenset(c) for r in range(1, n + 2)
-            for c in __import__("itertools").combinations(range(n + 1), r)]
+            for c in combinations(range(n + 1), r)]
            if k in A and A != frozenset(range(n + 1))]
     P = Poset.from_leq(sub, lambda a, b: a <= b)
     W = {(a, b) for a in sub for b in sub
          if a < b and max(a) == max(b)}
+    return P, W
+
+
+@pytest.mark.parametrize("shape_key", [(2, 1), (2, 2)])
+def test_sihd_prodjoin_from_shape(shape_key):
+    n, k = shape_key
+    # P = the L-J^n_k poset with its max-equal marking, Q = all of P
+    P, W = shape_poset(n, k)
+    sub = P.elements
     for Q in (set(sub), {A for A in sub if n in A}):
         ambient, image, decomposition = build_sihd_prodjoin((P, W), Q)
         res = validate_sihd(ambient, image, decomposition)
@@ -221,6 +232,29 @@ def test_sihd_prodjoin_point():
     ambient, image, decomposition = build_sihd_prodjoin((P, set()), {"x"})
     res = validate_sihd(ambient, image, decomposition)
     assert res.ok, res.witness
+
+
+def same_decomposition(got, want):
+    """Equal marking, image and classes; the nerves agree on their
+    cells up to the lower truncation."""
+    (amb, image, dec), (want_amb, want_image, want_dec) = got, want
+    top = min(len(amb.base.cells), len(want_amb.base.cells))
+    assert amb.base.cells[:top] == want_amb.base.cells[:top]
+    assert (amb.marked, image, dec) == (want_amb.marked, want_image, want_dec)
+
+
+def test_sihd_builders_match_the_reference():
+    for n, k in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]:
+        same_decomposition(build_sihd_jk(n, k), ref.build_sihd_jk(n, k))
+    inputs = [((Poset.from_leq(["x"], lambda a, b: True), set()), {"x"})]
+    for n, k in [(2, 1), (2, 2), (3, 1)]:
+        P, W = shape_poset(n, k)
+        inputs += [((P, W), Q) for Q in (set(P.elements), {P.elements[0]},
+                                          set())]
+    assert len(inputs) == 10
+    for P_marked, Q in inputs:
+        same_decomposition(build_sihd_prodjoin(P_marked, Q),
+                           ref.build_sihd_prodjoin(P_marked, Q))
 
 
 # -- retractions ---------------------------------------------------------
@@ -238,6 +272,19 @@ def test_retract_k_in_sd(n, k):
 @pytest.mark.parametrize("n", [1, 2])
 def test_retract_k_eq_n(n):
     assert retract_check("k-eq-n-redundant", n, n)
+
+
+def test_marked_retract_fails_on_bad_maps():
+    low, high = shape(2, 2, "L", "I"), shape(3, 2, "L", "I")
+    # a retraction that forgets the shape: constant at {2}
+    res = _marked_retract(low, high, lambda A: A | {3}, lambda A: fs(2))
+    assert (res.ok, res.witness) == (False, {"section": (fs(0, 2),)})
+    # a section that breaks the max rule: {2} <= {0,2} shares its max,
+    # {2} <= {0,2,3} does not
+    res = _marked_retract(low, high, lambda A: A | {3} if 0 in A else A,
+                          lambda A: frozenset(min(x, 2) for x in A))
+    assert not res.ok and res.witness["map"] == "section"
+    assert res.witness["edge"] == (fs(2), fs(0, 2))
 
 
 def test_retract_guards():

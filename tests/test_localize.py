@@ -17,7 +17,7 @@ from fraction_forge.localize import (
     pi0_mapping_checks,
     slice_filtered_check,
 )
-from fraction_forge import cli
+from fraction_forge import cli, localize
 from fraction_forge.fractions import check_clf_classical, check_crf_classical
 from fraction_forge.marked import MarkedCategory, nerve_marked
 from fraction_forge.sset_core import nerve_category, standard_simplex
@@ -334,22 +334,64 @@ def test_compare_localizations_marked_segment():
 
 # -- colimit preservation ------------------------------------------------
 
+def boolean_square():
+    e, a, b = frozenset(), frozenset({0}), frozenset({1})
+    C = FinCategory.from_poset(
+        Poset.from_leq([e, a, b, a | b], lambda x, y: x <= y))
+    return MarkedCategory(C, set()), e, a, b
+
+
 def test_colimit_probe_pushout_square():
     # Boolean square poset: pushout of {0} <- {} -> {1} is {0,1}
-    subs = [frozenset(s) for s in ((), (0,), (1,), (0, 1))]
-    C = FinCategory.from_poset(
-        Poset.from_leq(subs, lambda a, b: a <= b),
-        )
+    mc, e, a, b = boolean_square()
+    f, g = mc.cat.hom(e, a)[0], mc.cat.hom(e, b)[0]
+    assert colimit_preservation_probe(
+        mc, ([e, a, b], [(0, 1, f), (0, 2, g)])).ok
+
+
+def test_colimit_probe_coproduct_and_initial():
+    # in the Boolean square, {0} ⊔ {1} is {0,1} and {} is initial
+    mc, e, a, b = boolean_square()
+    assert colimit_preservation_probe(mc, ([a, b], [])).ok
+    assert colimit_preservation_probe(mc, ([], [])).ok
+    # the discrete category on two objects has neither
+    discrete = MarkedCategory(FinCategory(
+        ["a", "b"], [Morphism("ia", "a", "a"), Morphism("ib", "b", "b")],
+        {"a": "ia", "b": "ib"}, {("ia", "ia"): "ia", ("ib", "ib"): "ib"}),
+        set())
+    for diagram in ((["a", "b"], []), ([], [])):
+        with pytest.raises(ValueError, match="no colimit in C"):
+            colimit_preservation_probe(discrete, diagram)
+
+
+def test_colimit_probe_fails_on_a_wrong_canonical_functor(monkeypatch):
+    # in the monoid {1, e} with e.e = e the one-object diagram has the
+    # colimit (*, 1); a "canonical functor" that swaps 1 and e sends it to
+    # (*, e), through which the cocone (*, 1) does not factor
+    C = FinCategory(["*"], [Morphism("1", "*", "*"), Morphism("e", "*", "*")],
+                    {"*": "1"}, {("1", "1"): "1", ("1", "e"): "e",
+                                 ("e", "1"): "e", ("e", "e"): "e"})
     mc = MarkedCategory(C, set())
-    f = next(m for m in C.morphism_names()
-             if C.dom(m) == frozenset() and C.cod(m) == frozenset({0}))
-    g = next(m for m in C.morphism_names()
-             if C.dom(m) == frozenset() and C.cod(m) == frozenset({1}))
-    assert colimit_preservation_probe(mc, ("pushout", f, g)).ok
+    assert colimit_preservation_probe(mc, (["*"], [])).ok
+    gz_left_fractions = localize.gz_left_fractions
+
+    def swapped(mc):
+        cat, info = gz_left_fractions(mc)
+        canonical = info["canonical"]
+        return cat, {**info, "canonical": lambda f: next(
+            c for c in cat.hom("*", "*") if c != canonical(f))}
+
+    monkeypatch.setattr(localize, "gz_left_fractions", swapped)
+    res = colimit_preservation_probe(mc, (["*"], []))
+    assert (res.ok, res.witness["factorings"]) == (False, 0)
 
 
 def test_colimit_probe_coequalizer():
     mc = walking_marked_arrow()
-    assert colimit_preservation_probe(mc, ("coeq", "w", "w")).ok
-    with pytest.raises(ValueError):
-        colimit_preservation_probe(mc, ("coeq", "w", "ix"))
+    assert colimit_preservation_probe(
+        mc, (["x", "y"], [(0, 1, "w"), (0, 1, "w")])).ok
+    for arrows in ([(0, 1, "ix")],  # ix: x -> x
+                   [(0, 2, "w")],  # no third object
+                   [(0, 1, "nonsense")]):
+        with pytest.raises(ValueError, match="does not fit the diagram"):
+            colimit_preservation_probe(mc, (["x", "y"], arrows))
