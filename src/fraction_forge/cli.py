@@ -446,6 +446,8 @@ def _expected(expect, report, failures):
 
 def corpus_run(path=None):
     root = Path(path) if path else corpus_path()
+    if not root.is_dir():
+        raise InputError(f"corpus path {root} is not a directory")
     files = {}
     warnings = []
     cat_files = sorted((root / "cats").glob("*.json")) if (root / "cats").exists() else []

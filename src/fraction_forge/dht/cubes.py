@@ -6,21 +6,31 @@ It is stored as a finite trimmed grid (no removable constant outer
 slice) with implicit constant extension beyond the ends.
 """
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from ..sset_core.enumerate import Check
+from ..sset_core.sset import Frozen
 
 
 def _grid_points(extents):
     return iproduct(*[range(m + 1) for m in extents])
 
 
-@dataclass(frozen=True)
-class StableCube:
-    graph: object
-    extents: tuple
-    grid: tuple  # values in row-major order over the full grid
+class StableCube(Frozen):
+    def __init__(self, graph, extents, grid):
+        # grid: values in row-major order over the full grid
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "extents", extents)
+        object.__setattr__(self, "grid", grid)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.graph, self.extents, self.grid)
+                    == (other.graph, other.extents, other.grid))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.graph, self.extents, self.grid))
 
     @staticmethod
     def from_function(graph, extents, fn, trim=True):

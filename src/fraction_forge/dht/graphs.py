@@ -5,23 +5,31 @@ reflexive loops are implicit and never stored.  Maps may collapse edges
 (adjacent-or-equal images).
 """
 
-from dataclasses import dataclass
+from ..sset_core.sset import Frozen
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertices: tuple
-    edges: frozenset  # of frozensets {u, v}, u != v
-
-    def __post_init__(self):
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
+class Graph(Frozen):
+    def __init__(self, vertices, edges):
+        # edges: a frozenset of frozensets {u, v}, u != v
+        vs = set(vertices)
+        if len(vs) != len(vertices):
             raise ValueError("duplicate vertex")
-        for e in self.edges:
+        for e in edges:
             if len(e) != 2:
                 raise ValueError(f"loop or malformed edge {set(e)!r}")
             if not e <= vs:
                 raise ValueError(f"edge {set(e)!r} mentions unknown vertices")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.vertices, self.edges)
+                    == (other.vertices, other.edges))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     def adjacent(self, u, v):
         """Adjacent-or-equal (the reflexive relation)."""
@@ -89,19 +97,27 @@ def cycle(m):
     return make_graph(range(m), [(i, (i + 1) % m) for i in range(m)])
 
 
-@dataclass(frozen=True)
-class GraphMap:
-    src: Graph
-    dst: Graph
-    mapping: tuple  # images in src.vertices order
-
-    def __post_init__(self):
-        if len(self.mapping) != len(self.src.vertices):
+class GraphMap(Frozen):
+    def __init__(self, src, dst, mapping):
+        # mapping: images in src.vertices order
+        if len(mapping) != len(src.vertices):
             raise ValueError("mapping must cover every vertex")
-        for e in self.src.edges:
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "mapping", mapping)
+        for e in src.edges:
             u, v = tuple(e)
-            if not self.dst.adjacent(self(u), self(v)):
+            if not dst.adjacent(self(u), self(v)):
                 raise ValueError(f"edge {set(e)!r} not preserved")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.src, self.dst, self.mapping)
+                    == (other.src, other.dst, other.mapping))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.src, self.dst, self.mapping))
 
     def __call__(self, v):
         return self.mapping[self.src.vertices.index(v)]

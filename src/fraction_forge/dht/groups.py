@@ -7,23 +7,30 @@ not assumed correct a priori; it is cross-checked against the oracle,
 which quotients bounded based loops by pointwise-adjacency homotopies.
 """
 
-from dataclasses import dataclass
-
 from ..sset_core.enumerate import Check
+from ..sset_core.sset import Frozen
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    generators: tuple
-    relators: tuple  # words: tuples of (generator, +1/-1), freely reduced
-
-    def __post_init__(self):
-        for w in self.relators:
+class GroupPresentation(Frozen):
+    def __init__(self, generators, relators):
+        # relators are words: tuples of (generator, +1/-1), freely reduced
+        for w in relators:
             if w != free_reduce(w):
                 raise ValueError(f"relator {w!r} is not freely reduced")
             for g, e in w:
-                if g not in self.generators or e not in (1, -1):
+                if g not in generators or e not in (1, -1):
                     raise ValueError(f"bad letter {(g, e)!r}")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.generators, self.relators)
+                    == (other.generators, other.relators))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.generators, self.relators))
 
 
 def free_reduce(word):

@@ -6,7 +6,6 @@ witnesses; marked maps are enumerated with a marking-preservation
 filter.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .sset_core.build import end_inclusion, opposite_sset, product
@@ -16,16 +15,13 @@ from .sset_core.nerves import nerve_category, nerve_poset, standard_simplex
 from .sset_core.sset import Simplex, compose_smap
 
 
-@dataclass
 class MarkedSSet:
-    base: object
-    marked: set = field(default_factory=set)
-
-    def __post_init__(self):
-        for c in self.marked:
-            if not self.base.has_cell(c) or self.base.dim_of(c) != 1:
+    def __init__(self, base, marked=()):
+        for c in marked:
+            if not base.has_cell(c) or base.dim_of(c) != 1:
                 raise ValueError(f"marked entry {c!r} is not a 1-cell")
-        self.marked = set(self.marked)
+        self.base = base
+        self.marked = set(marked)
 
     def is_marked(self, simplex):
         """Marked-or-degenerate test for a 1-simplex in normal form."""
@@ -41,16 +37,13 @@ class MarkedSSet:
         return out
 
 
-@dataclass
 class MarkedCategory:
-    cat: object
-    marked: set = field(default_factory=set)
-
-    def __post_init__(self):
-        for f in self.marked:
-            if f not in self.cat.morphisms:
+    def __init__(self, cat, marked=()):
+        for f in marked:
+            if f not in cat.morphisms:
                 raise ValueError(f"marked entry {f!r} is not a morphism")
-        self.marked = set(self.marked)
+        self.cat = cat
+        self.marked = set(marked)
 
     def opposite(self):
         return MarkedCategory(self.cat.opposite(), set(self.marked))
@@ -161,7 +154,6 @@ def enumerate_marked_maps(ma, mx, partial=None, limit=None):
                           limit=limit)
 
 
-@dataclass
 class LevelMaps:
     """Marked maps out of a cosimplicial marked shape, level by level.
 
@@ -171,13 +163,16 @@ class LevelMaps:
     ``side`` names the Ex functor ("L" or "R") whose levels these are,
     if any.
     """
-    input: MarkedSSet
-    bound: int
-    levels: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    face_tbl: dict = field(default_factory=dict)
-    degen_tbl: dict = field(default_factory=dict)
-    side: str = None
+
+    def __init__(self, input, bound, levels=None, maps=None, face_tbl=None,
+                 degen_tbl=None, side=None):
+        self.input = input
+        self.bound = bound
+        self.levels = {} if levels is None else levels
+        self.maps = {} if maps is None else maps
+        self.face_tbl = {} if face_tbl is None else face_tbl
+        self.degen_tbl = {} if degen_tbl is None else degen_tbl
+        self.side = side
 
     def face(self, d, serial, i):
         return self.face_tbl[(d, i)][serial]

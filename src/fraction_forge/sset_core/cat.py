@@ -1,7 +1,6 @@
 """Finite posets and finite categories with explicit composition tables."""
 
 import weakref
-from dataclasses import dataclass
 
 
 class Poset:
@@ -39,11 +38,17 @@ class Poset:
         return Poset(elements, pairs)
 
 
-@dataclass
 class Morphism:
-    name: str
-    dom: object
-    cod: object
+    def __init__(self, name, dom, cod):
+        self.name = name
+        self.dom = dom
+        self.cod = cod
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.name, self.dom, self.cod)
+                    == (other.name, other.dom, other.cod))
+        return NotImplemented
 
 
 class FinCategory:

@@ -1,6 +1,5 @@
 """Backtracking enumeration of simplicial maps and horn-filling checks."""
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .nerves import horn, standard_simplex
@@ -129,13 +128,21 @@ def enumerate_maps(A, X, partial=None, edge_ok=None, limit=None):
     return [SMap(A, X, asg) for asg in found]
 
 
-@dataclass
 class Check:
     """Outcome of a decidable check, with a witness on failure (or, where
     documented, an informative witness on success)."""
 
-    ok: bool
-    witness: object = None
+    def __init__(self, ok, witness=None):
+        self.ok = ok
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ok, self.witness) == (other.ok, other.witness)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Check(ok={self.ok!r}, witness={self.witness!r})"
 
     def __bool__(self):
         return self.ok

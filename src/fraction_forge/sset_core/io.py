@@ -168,7 +168,9 @@ def cat_from_dict(d, where="<input>"):
         if not isinstance(entry, list) or len(entry) != 3 or not _strings(entry):
             fail(f"malformed comp entry {entry!r}")
         g, f, h = entry
-        comp[(g, f)] = h
+        if comp.setdefault((g, f), h) != h:
+            fail(f"comp lists ({g!r}, {f!r}) twice, with composites "
+                 f"{comp[(g, f)]!r} and {h!r}")
     idents = d["identities"]
     if not isinstance(idents, dict) or not _strings(idents.values()):
         fail("identities must map objects to morphism names")

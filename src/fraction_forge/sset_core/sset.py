@@ -5,18 +5,40 @@ non-degenerate and ``op`` a monotone surjection (Eilenberg-Zilber).
 ``Simplex(op, cell)`` stores that form; all operator actions normalize.
 """
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .ops import compose, delta, epi_mono_factor, identity_op, is_surjection, sigma
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Frozen:
+    """Base of the immutable value classes: each sets its fields once in
+    ``__init__``, through ``object.__setattr__``, and refuses assignment
+    after."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Simplex(Frozen):
     """A (possibly degenerate) simplex in EZ normal form ``cell . op``."""
 
-    op: tuple
-    cell: object
+    def __init__(self, op, cell):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "cell", cell)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.op, self.cell) == (other.op, other.cell)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.op, self.cell))
+
+    def __repr__(self):
+        return f"Simplex(op={self.op!r}, cell={self.cell!r})"
 
     @property
     def dim(self):
@@ -164,13 +186,13 @@ def surjections(n, m):
     return out
 
 
-@dataclass
 class SMap:
     """Simplicial map, stored as image simplices of non-degenerate cells."""
 
-    src: SSet
-    dst: SSet
-    assignment: dict = field(default_factory=dict)
+    def __init__(self, src, dst, assignment=None):
+        self.src = src
+        self.dst = dst
+        self.assignment = {} if assignment is None else assignment
 
     def __call__(self, simplex):
         img = self.assignment[simplex.cell]

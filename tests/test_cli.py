@@ -76,6 +76,24 @@ def test_malformed_input_exits_2(capsys, tmp_path):
     assert missing == 2
 
 
+def test_conflicting_comp_entries_exit_2(capsys, tmp_path):
+    """A second composite for one pair is an input error in either order;
+    an exact repeat is accepted."""
+    d = {"objects": ["a"], "identities": {"a": "ia"},
+         "morphisms": [{"id": m, "dom": "a", "cod": "a"} for m in ("ia", "e")]}
+    path = tmp_path / "monoid.json"
+    for comp, code, message in (
+            ([["e", "e", "e"], ["e", "e", "ia"]], 2, "'e' and 'ia'"),
+            ([["e", "e", "ia"], ["e", "e", "e"]], 2, "'ia' and 'e'"),
+            ([["e", "e", "e"], ["e", "e", "e"]], 0, None)):
+        path.write_text(json.dumps(dict(d, comp=comp)))
+        assert cli.main(["fractions", "check", "--input", str(path)]) == code
+        err = capsys.readouterr().err
+        if message:
+            assert err == (f"error: {path}: comp lists ('e', 'e') twice, "
+                           f"with composites {message}\n")
+
+
 def test_unknown_flags_exit_2():
     assert cli.main(["fractions", "check", "--bogus"]) == 2
     assert cli.main(["no-such-command"]) == 2
@@ -413,6 +431,15 @@ def test_corpus_shape():
 def test_corpus_run_empty_dir_warns(capsys, tmp_path):
     code, out = run(capsys, "corpus", "run", "--path", str(tmp_path))
     assert code == 0 and out["warnings"] == ["empty corpus"]
+
+
+def test_corpus_run_path_not_a_directory_exits_2(capsys, tmp_path):
+    (tmp_path / "file.json").write_text("{}")
+    for path in (tmp_path / "absent", tmp_path / "file.json"):
+        assert cli.main(["corpus", "run", "--path", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: corpus path {path} is not a directory\n"
 
 
 def test_corpus_run_corrupted_file_exits_2(tmp_path):

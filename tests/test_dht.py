@@ -1,8 +1,12 @@
 import random
+import re
 
 import pytest
 
 from fraction_forge.dht import (
+    Graph,
+    GraphMap,
+    GroupPresentation,
     StableCube,
     a1_bfs_oracle,
     a1_presentation,
@@ -42,6 +46,47 @@ def test_graph_from_dict_rejects_bad_input():
         graph_from_dict({"vertices": [0], "edges": [[0, 1]]})
     G = graph_from_dict({"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]]})
     assert G == graph_from_dict(G.to_dict())
+
+
+def test_frozen_values_compare_and_hash_by_fields():
+    G, H = interval(1), interval(1)
+    f, g = graph_map(G, G, lambda v: v), graph_map(H, H, lambda v: v)
+    c, d = vertex_cube(G, 0), vertex_cube(H, 0)
+    word = (("g", 1), ("g", 1))
+    p, q = (GroupPresentation(("g",), (word,)),
+            GroupPresentation(("g",), (word,)))
+    for x, y, other, fields, name in (
+            (G, H, interval(2), (G.vertices, G.edges), "edges"),
+            (f, g, graph_map(G, G, lambda v: 0), (G, G, (0, 1)), "mapping"),
+            (c, d, vertex_cube(G, 1), (G, (), (0,)), "grid"),
+            (p, q, GroupPresentation(("g",), ()), (("g",), (word,)),
+             "relators")):
+        assert x == y and hash(x) == hash(y)
+        assert x != other and x != fields
+        with pytest.raises(AttributeError):
+            setattr(x, name, ())
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Graph((0, 0), frozenset()), "duplicate vertex"),
+    (lambda: Graph((0, 1), frozenset({frozenset({0})})),
+     "loop or malformed edge {0}"),
+    (lambda: Graph((0,), frozenset({frozenset({0, 1})})),
+     "edge {0, 1} mentions unknown vertices"),
+    (lambda: GraphMap(interval(1), interval(1), (0,)),
+     "mapping must cover every vertex"),
+    (lambda: GraphMap(interval(1), make_graph([0, 1, 2], [(0, 1)]), (0, 2)),
+     "edge {0, 1} not preserved"),
+    (lambda: GroupPresentation(("g",), ((("g", 1), ("g", -1)),)),
+     "relator (('g', 1), ('g', -1)) is not freely reduced"),
+    (lambda: GroupPresentation(("g",), ((("h", 1),),)), "bad letter ('h', 1)"),
+], ids=["duplicate-vertex", "loop", "unknown-vertex", "short-mapping",
+        "edge-not-preserved", "unreduced-relator", "unknown-generator"])
+def test_value_classes_reject_bad_fields(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 # -- stable cubes --------------------------------------------------------

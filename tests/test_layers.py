@@ -8,6 +8,9 @@ caller in the program, the benchmark, the tools or the acceptance gate.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fraction_forge
@@ -67,6 +70,20 @@ def test_imports_at_module_level():
            for path in sorted(PKG.rglob("*.py"))
            for lineno in function_level_imports(path)]
     assert not bad, bad
+
+
+def test_cli_import_loads_no_dataclasses():
+    """Every CLI call pays for its imports: ``fraction_forge.cli`` loads
+    neither ``dataclasses`` nor the modules it pulls in.  Checked in a
+    fresh interpreter, since pytest itself imports them; ``-S`` keeps the
+    site hooks of the host interpreter out of the count."""
+    code = ("import fraction_forge.cli, sys; print(sorted("
+            "{'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(PKG.parent)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 CORE = ("sset_core", "marked", "fractions", "exfunctor", "localize", "dht")

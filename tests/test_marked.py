@@ -2,6 +2,7 @@ import pytest
 
 from fraction_forge.localize import ho_of_qcat
 from fraction_forge.marked import (
+    LevelMaps,
     MarkedCategory,
     MarkedSSet,
     cat_is_two_out_of_three,
@@ -55,6 +56,28 @@ def test_marking_validation():
         MarkedSSet(D1, {(0,)})  # a vertex is not an edge
     with pytest.raises(ValueError):
         mx.is_marked(Simplex((0,), (0,)))
+
+
+def test_markings_reject_bad_entries_and_share_no_default():
+    D1 = standard_simplex(1)
+    with pytest.raises(ValueError, match=r"^marked entry \(0,\) is not a 1-cell$"):
+        MarkedSSet(D1, [(0,)])
+    C = chain_cat(1)
+    with pytest.raises(ValueError,
+                       match="^marked entry 'ghost' is not a morphism$"):
+        MarkedCategory(C, ["ghost"])
+    assert MarkedSSet(D1, [(0, 1)]).marked == {(0, 1)}
+    mx, other = MarkedSSet(D1), MarkedSSet(D1)
+    mx.marked.add((0, 1))
+    assert other.marked == set()
+    mc, other = MarkedCategory(C), MarkedCategory(C)
+    mc.marked.add("0<=1")
+    assert other.marked == set()
+    lm, other = LevelMaps(mx, 1), LevelMaps(mx, 1)
+    for name in ("levels", "maps", "face_tbl", "degen_tbl"):
+        getattr(lm, name)[0] = []
+        assert getattr(other, name) == {}
+    assert other.side is None
 
 
 def test_min_max_markings():

@@ -16,8 +16,9 @@ from fraction_forge.sset_core import (
     standard_simplex,
 )
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
+from fraction_forge.sset_core.enumerate import Check
 from fraction_forge.sset_core.ops import surj_from_word, word_from_surj
-from fraction_forge.sset_core.sset import Simplex, SSet, surjections
+from fraction_forge.sset_core.sset import Simplex, SMap, SSet, surjections
 from helpers import find_isomorphism
 
 
@@ -49,6 +50,35 @@ def test_face_normalization_degenerate():
     assert D2.simplex_face(s, 1) == Simplex((0, 1), (0, 1))
     assert D2.simplex_face(s, 2) == Simplex((0, 1), (0, 1))
     assert D2.simplex_face(s, 0) == Simplex((0, 0), (1,))
+
+
+def test_simplex_is_a_frozen_value():
+    s = Simplex((0, 1), "e")
+    assert s == Simplex((0, 1), "e") and hash(s) == hash(Simplex((0, 1), "e"))
+    assert s != Simplex((0, 0), "e") and s != ((0, 1), "e")
+    assert repr(s) == "Simplex(op=(0, 1), cell='e')"
+    with pytest.raises(AttributeError):
+        s.op = (0, 0)
+    with pytest.raises(AttributeError):
+        del s.cell
+
+
+def test_smap_morphism_and_check_values():
+    D1 = standard_simplex(1)
+    f, g = SMap(D1, D1), SMap(D1, D1)
+    f.assignment[(0,)] = Simplex((0,), (0,))
+    assert g.assignment == {}  # no shared default
+    m = Morphism("f", "a", "b")
+    assert m == Morphism("f", "a", "b") and m != Morphism("f", "b", "a")
+    assert m != ("f", "a", "b")
+    c = Check(False, {"n": 2})
+    assert c == Check(False, {"n": 2}) and c != Check(True) and not c
+    assert c != (False, {"n": 2})
+    assert repr(c) == "Check(ok=False, witness={'n': 2})"
+    assert repr(Check(True)) == "Check(ok=True, witness=None)"
+    for unhashable in (m, c):
+        with pytest.raises(TypeError):
+            hash(unhashable)
 
 
 def test_validation_rejects_bad_faces():
