@@ -327,12 +327,22 @@ def cmd_graph_nerve_box(args):
     digests = {args.input: _digest(args.input), args.box: _digest(args.box)}
     try:
         n = box["n"]
-        missing = tuple(box["missing"])
-        faces = {tuple(int(t) for t in key.split(",")):
-                 walk_cube(G, walk) for key, walk in box["faces"].items()}
+        if type(n) is not int:
+            raise TypeError(f"n must be an integer, not {n!r}")
+        missing = tuple(int(t) for t in box["missing"])
+        if not isinstance(box["faces"], dict):
+            raise TypeError("faces must be an object")
+        faces = {}
+        for key, walk in box["faces"].items():
+            if not walk or any(v not in G.vertices for v in walk):
+                raise ValueError(f"face {key} is not a walk in the graph")
+            faces[tuple(int(t) for t in key.split(","))] = walk_cube(G, walk)
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"{args.box}: malformed box payload: {e}")
-    res = open_box_filler_search(G, n, missing, faces, window=args.window)
+    try:
+        res = open_box_filler_search(G, n, missing, faces, window=args.window)
+    except ValueError as e:
+        raise InputError(f"{args.box}: {e}")
     payload = {"witnesses": [] if res.ok else [res.witness]}
     if res.ok:
         filler = res.witness["filler"]

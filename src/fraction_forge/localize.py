@@ -15,17 +15,15 @@ from .fractions import (
 )
 from .marked import (
     MarkedSSet,
-    cylinder,
     level_maps,
     maximal_marking,
-    minimal_marking,
     nerve_marked,
     opposite_marked,
 )
-from .sset_core.build import from_levels, product_map
-from .sset_core.cat import FinCategory, Morphism
+from .sset_core.build import from_levels
+from .sset_core.cat import FinCategory, Morphism, Poset
 from .sset_core.enumerate import Check, is_quasicategory_upto
-from .sset_core.nerves import simplex_inclusion, simplex_map, standard_simplex
+from .sset_core.nerves import nerve_map, nerve_poset
 from .sset_core.ops import delta, sigma
 from .sset_core.sset import Simplex
 from .sset_core.unionfind import UnionFind
@@ -245,6 +243,16 @@ def slice_filtered_check(mc, x):
 # -- marked slices and fraction spaces (simplicial) ----------------------
 
 
+def _cylinder(m):
+    """Δᵐ×(Δ¹)♯: the nerve of the poset [m]×[1], truncated at m + 1.  Its
+    marked edges are the vertical ones, whose ends share their [m]
+    coordinate."""
+    P = Poset.from_leq([(i, e) for i in range(m + 1) for e in range(2)],
+                       lambda a, b: a[0] <= b[0] and a[1] <= b[1])
+    N = nerve_poset(P, m + 1)
+    return MarkedSSet(N, {c for c in N.cells[1] if c[0][0] == c[1][0]})
+
+
 def _slice(mx, x):
     """Levels of the slice under the vertex x: marked maps
     Δᵐ×(Δ¹)♯ -> (X, W) constant at x on Δᵐ×{0}, for m <= 1.
@@ -252,25 +260,21 @@ def _slice(mx, x):
     Returns the levels and ``end``, which takes a serial to the image of
     Δᵐ×{1}, the projection to X.
     """
-    cyls = [cylinder(minimal_marking(standard_simplex(m, bound=m + 1)))
-            for m in range(2)]
-    shapes = [P for P, _, _ in cyls]
-    D1 = standard_simplex(1)
-    id_d1 = simplex_inclusion(D1, D1)
+    shapes = [_cylinder(m) for m in range(2)]
 
     def structure(phi, m, n):
-        return product_map(simplex_map(phi, m, n), id_d1,
-                           shapes[m].base, shapes[n].base)
+        return nerve_map(lambda v: (phi[v[0]], v[1]),
+                         shapes[m].base, shapes[n].base)
 
-    partial = [{cell: Simplex((0,) * (d + 1), x)
-                for d, cs in enumerate(P.base.cells) for cell in cs
-                if cell[4] == (0,)} for P in shapes]
+    partial = [{c: Simplex((0,) * len(c), x)
+                for cs in P.base.cells for c in cs
+                if all(e == 0 for _, e in c)} for P in shapes]
     lm = level_maps(mx, shapes,
                     lambda d, i: structure(delta(i, d), d - 1, d),
                     lambda d, i: structure(sigma(i, d), d + 1, d),
                     partial=partial)
-    end = {s: lm.maps[s](i1.on_cell(tuple(range(m + 1))))
-           for m, (_, _, i1) in enumerate(cyls) for s in lm.levels[m]}
+    end = {s: lm.maps[s].on_cell(tuple((i, 1) for i in range(m + 1)))
+           for m in range(2) for s in lm.levels[m]}
     return lm, end
 
 
@@ -369,7 +373,7 @@ def _morphism_of_vertex_cylinder(C, serialized):
     """The morphism of C that a serialized map Δ⁰×Δ¹ -> nerve sends the
     0-1 edge to."""
     for cell, op, img in serialized:
-        if cell[4] == (0, 1):
+        if cell == ((0, 0), (0, 1)):
             return img[1] if img[0] == "c" else C.ident(img[1])
     raise ValueError("malformed cylinder serialization")
 

@@ -8,10 +8,10 @@ filter.
 
 from itertools import combinations
 
-from .sset_core.build import end_inclusion, opposite_sset, product
+from .sset_core.build import opposite_sset
 from .sset_core.cat import Poset
 from .sset_core.enumerate import Check, enumerate_maps
-from .sset_core.nerves import nerve_category, nerve_poset, standard_simplex
+from .sset_core.nerves import nerve_category, nerve_poset
 from .sset_core.sset import Simplex, compose_smap
 
 
@@ -59,10 +59,6 @@ def nerve_marked(mc, bound=3):
     N = nerve_category(mc.cat, bound)
     W = {("c", f) for f in mc.marked if not mc.cat.is_identity(f)}
     return MarkedSSet(N, W)
-
-
-def minimal_marking(X):
-    return MarkedSSet(X, set())
 
 
 def maximal_marking(X):
@@ -211,27 +207,6 @@ def level_maps(mx, shapes, coface, codegeneracy, partial=None):
         for i in range(d + 1):
             lm.degen_tbl[(d, i)] = table(d, codegeneracy(d, i), "degeneracy")
     return lm
-
-
-def cylinder(mx):
-    """The marked cylinder ``(X, W) x (Δ¹)♯`` with its end inclusions.
-
-    Returns ``(mp, i0, i1)``: the marked product, whose 1-cells are
-    marked when their X-component is marked or degenerate, and the
-    inclusions of the ends 0 and 1.  It is truncated at the dimension
-    bound of X.
-    """
-    X = mx.base
-    bound = X.dim_bound
-    D1 = standard_simplex(1, bound=max(bound, 1))
-    P = product(X, D1, bound)
-    marked = set()
-    for cell in P.cells[1]:
-        _, op1, c1, op2, c2 = cell
-        if len(set(op1)) == 1 or c1 in mx.marked:
-            marked.add(cell)
-    mp = MarkedSSet(P, marked)
-    return mp, end_inclusion(X, D1, P, 0), end_inclusion(X, D1, P, 1)
 
 
 def opposite_marked(mx):

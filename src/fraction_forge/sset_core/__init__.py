@@ -1,4 +1,4 @@
-"""Finite simplicial sets: cells, EZ-normal faces, nerves, products,
+"""Finite simplicial sets: cells, EZ-normal faces, nerves, opposites,
 map enumeration, and the inner-horn filling check."""
 
 from .ops import (
@@ -19,11 +19,9 @@ from .nerves import (
     horn,
     nerve_category,
     nerve_poset,
-    simplex_inclusion,
-    simplex_map,
     standard_simplex,
 )
-from .build import from_levels, opposite_sset, product, product_map
+from .build import from_levels, opposite_sset
 from .enumerate import enumerate_maps, is_quasicategory_upto
 from . import io
 
@@ -48,11 +46,7 @@ __all__ = [
     "nerve_poset",
     "op_reverse",
     "opposite_sset",
-    "product",
-    "product_map",
     "sigma",
-    "simplex_inclusion",
-    "simplex_map",
     "standard_simplex",
     "surj_from_word",
     "word_from_surj",

@@ -69,17 +69,6 @@ def horn(n, k, bound=None):
     return sub_sset(standard_simplex(n, bound), lambda c: c not in (full, facet))
 
 
-def simplex_inclusion(A, X):
-    """Inclusion of a subcomplex whose cells share names with ``X``."""
-    asg = {}
-    for d, cs in enumerate(A.cells):
-        for c in cs:
-            if not X.has_cell(c) or X.dim_of(c) != d:
-                raise ValueError(f"cell {c!r} is not a cell of the codomain")
-            asg[c] = Simplex(identity_op(d), c)
-    return SMap(A, X, asg)
-
-
 def _chain_image(vs, B):
     """Normal form in the poset nerve ``B`` of a monotone vertex sequence:
     the chain of its distinct runs, with the surjection onto them."""
@@ -105,11 +94,6 @@ def nerve_map(vertex_map, A, B):
         for chain in cs:
             asg[chain] = _chain_image([vertex_map(v) for v in chain], B)
     return SMap(A, B, asg)
-
-
-def simplex_map(phi, m, n):
-    """Map of standard simplices induced by a monotone map ``phi: [m] -> [n]``."""
-    return nerve_map(lambda i: phi[i], standard_simplex(m), standard_simplex(n))
 
 
 def normalize_chain(cat, morphs, base_object):

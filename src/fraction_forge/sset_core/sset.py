@@ -225,13 +225,6 @@ class SMap:
                 items.append((c, s.op, s.cell))
         return tuple(items)
 
-    def __eq__(self, other):
-        return (isinstance(other, SMap) and self.src is other.src
-                and self.dst is other.dst and self.assignment == other.assignment)
-
-    def __hash__(self):
-        return hash(self.serialize())
-
 
 def compose_smap(g, f):
     """Composite ``g . f`` of simplicial maps."""

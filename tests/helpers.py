@@ -7,15 +7,16 @@ from fraction_forge.sset_core.nerves import _chain_image
 from fraction_forge.sset_core.sset import SMap
 
 
-def find_isomorphism(A, B):
+def find_isomorphism(A, B, edge_ok=None):
     """First isomorphism ``A -> B`` in enumeration order, or None.
 
     An isomorphism sends the non-degenerate cells of ``A`` bijectively onto
-    those of ``B``.
+    those of ``B``; ``edge_ok`` filters the edge images, as in
+    ``enumerate_maps``.
     """
     if [len(cs) for cs in A.cells] != [len(cs) for cs in B.cells]:
         return None
-    for f in enumerate_maps(A, B):
+    for f in enumerate_maps(A, B, edge_ok=edge_ok):
         images = f.assignment.values()
         if all(s.nondegenerate for s in images) \
                 and len({s.cell for s in images}) == len(images):

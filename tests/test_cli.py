@@ -395,6 +395,44 @@ def test_graph_nerve_box(capsys, tmp_path):
     assert code == 0 and out["filler"]["extents"] == [1, 1]
 
 
+BOX = {"n": 2, "missing": [2, 1],
+       "faces": {"1,0": ["0", "1"], "1,1": ["3", "2"], "2,0": ["0", "3"]}}
+
+
+def run_box(capsys, tmp_path, box):
+    p = tmp_path / "box.json"
+    p.write_text(json.dumps(box))
+    code = cli.main(["graph", "nerve-box", "--input", graph_file("cycle4"),
+                     "--box", str(p), "--window", "2"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"faces": []}, "malformed box payload: faces must be an object"),
+    ({"n": 3}, "open boxes supported for n <= 2"),
+    ({"faces": {"1,0": ["0", "1"], "1,1": ["3", "2"], "2,1": ["1", "2"]}},
+     "expected faces for exactly [(1, 0), (1, 1), (2, 0)]"),
+    ({"faces": {**BOX["faces"], "1,0": []}}, "face 1,0 is not a walk"),
+    ({"faces": {**BOX["faces"], "1,0": ["x"]}}, "face 1,0 is not a walk"),
+])
+def test_graph_nerve_box_malformed_exits_2(capsys, tmp_path, change, message):
+    code, err = run_box(capsys, tmp_path, {**BOX, **change})
+    assert code == 2 and err.startswith("error: ") and message in err
+
+
+def test_graph_nerve_box_mutations_never_raise(capsys, tmp_path):
+    # each field replaced by a list, an object, a number, a string or
+    # null, or deleted: the run ends with 0, 1 or 2, never a traceback
+    values = [[], [1, 2, 3], [[0]], {}, {"1,0": ["0"]}, 0, 3, -1, 2.0,
+              True, "", "2,1", None]
+    for key in BOX:
+        for box in [{**BOX, key: v} for v in values] + [
+                {k: v for k, v in BOX.items() if k != key}]:
+            code, err = run_box(capsys, tmp_path, box)
+            assert code in (0, 1, 2), (box, err)
+            assert code != 2 or err.startswith("error: "), (box, err)
+
+
 def test_graph_pullback_probe(capsys, tmp_path):
     point = {"vertices": ["p"], "edges": []}
     c4 = {"vertices": ["0", "1", "2", "3"],

