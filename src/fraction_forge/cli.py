@@ -188,11 +188,9 @@ def cmd_fractions_lift(args):
 # -- localize ------------------------------------------------------------
 
 def _hom_table(cat):
-    table = {}
-    for m in cat.morphism_names():
-        key = f"{ffio.stringify(cat.dom(m))}->{ffio.stringify(cat.cod(m))}"
-        table.setdefault(key, []).append(ffio.stringify(m))
-    return {k: sorted(v) for k, v in sorted(table.items())}
+    s = ffio.stringify
+    return {f"{s(x)}->{s(y)}": sorted(map(s, cat.hom(x, y)))
+            for x in cat.objects for y in cat.objects if cat.hom(x, y)}
 
 
 def _dot_id(name):
@@ -334,7 +332,8 @@ def cmd_graph_nerve_box(args):
             raise TypeError("faces must be an object")
         faces = {}
         for key, walk in box["faces"].items():
-            if not walk or any(v not in G.vertices for v in walk):
+            if not isinstance(walk, list) or not walk or any(
+                    v not in G.vertices for v in walk):
                 raise ValueError(f"face {key} is not a walk in the graph")
             faces[tuple(int(t) for t in key.split(","))] = walk_cube(G, walk)
     except (KeyError, TypeError, ValueError) as e:
@@ -357,6 +356,8 @@ def cmd_graph_pullback_probe(args):
     spec = ffio.read_json(args.vertex)
     digests = {p: _digest(p) for p in (args.f, args.g, args.vertex)}
     try:
+        if not all(isinstance(spec[k][1], list) for k in "pq"):
+            raise TypeError("the walks of p and q must be lists")
         base = (spec["x"], (spec["p"][0], tuple(spec["p"][1])),
                 (spec["q"][0], tuple(spec["q"][1])), spec["y"])
     except (KeyError, TypeError, IndexError) as e:

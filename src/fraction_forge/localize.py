@@ -110,11 +110,10 @@ def gz_left_fractions(mc):
             uf.add(c)
     for cs in cospans.values():
         for f, w in cs:
-            for z in C.objects:
-                for p in C.hom(C.cod(f), z):
-                    pw = C.compose(p, w)
-                    if pw in W:
-                        uf.union((f, w), (C.compose(p, f), pw))
+            for p in C.out(C.cod(f)):
+                pw = C.compose(p, w)
+                if pw in W:
+                    uf.union((f, w), (C.compose(p, f), pw))
 
     cls_name = {}
     rep = {}
@@ -213,7 +212,7 @@ def is_filtered_category(cat):
         y = cat.cod(f)
         for g in cat.hom(cat.dom(f), y):
             if f < g and not any(cat.compose(h, f) == cat.compose(h, g)
-                                 for z in cat.objects for h in cat.hom(y, z)):
+                                 for h in cat.out(y)):
                 return Check(False, {"reason": "no coequalizing arrow",
                                      "pair": (f, g)})
     return Check(True)

@@ -56,14 +56,23 @@ class FinCategory:
     composition tables.  ``comp[(g, f)]`` is the name of ``g . f``."""
 
     def __init__(self, objects, morphisms, identities, comp):
-        self.objects = list(objects)
-        self.morphisms = {m.name: m for m in morphisms}
-        if len(self.morphisms) != len(morphisms):
+        named, hom, out, into = {}, {}, {}, {}
+        for m in morphisms:
+            named[m.name] = m
+            hom.setdefault((m.dom, m.cod), []).append(m.name)
+            out.setdefault(m.dom, []).append(m.name)
+            into.setdefault(m.cod, []).append(m.name)
+        if len(named) != len(morphisms):
             raise ValueError("duplicate morphism names")
-        self.identities = dict(identities)
-        self.comp = dict(comp)
-        self._hom = self._op = None
+        self._fill(list(objects), named, dict(identities), dict(comp), *(
+            {k: tuple(v) for k, v in t.items()} for t in (hom, out, into)))
         self.validate()
+
+    def _fill(self, objects, morphisms, identities, comp, hom, out, into):
+        """Store the tables and the arrow index of ``hom``, ``out``, ``into``."""
+        self.objects, self.morphisms = objects, morphisms
+        self.identities, self.comp = identities, comp
+        self._hom, self._out, self._into, self._op = hom, out, into, None
 
     # -- queries ---------------------------------------------------------
 
@@ -85,12 +94,15 @@ class FinCategory:
 
     def hom(self, x, y):
         """The morphisms ``x -> y`` in the order of ``self.morphisms``."""
-        if self._hom is None:
-            self._hom = {}
-            for m in self.morphisms.values():
-                self._hom.setdefault((m.dom, m.cod), []).append(m.name)
-            self._hom = {k: tuple(v) for k, v in self._hom.items()}
         return self._hom.get((x, y), ())
+
+    def out(self, x):
+        """The morphisms out of ``x`` in the order of ``self.morphisms``."""
+        return self._out.get(x, ())
+
+    def into(self, y):
+        """The morphisms into ``y`` in the order of ``self.morphisms``."""
+        return self._into.get(y, ())
 
     def morphism_names(self):
         return list(self.morphisms)
@@ -117,11 +129,14 @@ class FinCategory:
         op = self._op() if isinstance(self._op, weakref.ref) else self._op
         if op is None:
             op = FinCategory.__new__(FinCategory)
-            op.objects, op.identities = list(self.objects), dict(self.identities)
-            op.morphisms = {m.name: Morphism(m.name, m.cod, m.dom)
-                            for m in self.morphisms.values()}
-            op.comp = {(f, g): h for (g, f), h in self.comp.items()}
-            op._hom, op._op, self._op = None, weakref.ref(self), op
+            op._fill(list(self.objects),
+                     {m.name: Morphism(m.name, m.cod, m.dom)
+                      for m in self.morphisms.values()},
+                     dict(self.identities),
+                     {(f, g): h for (g, f), h in self.comp.items()},
+                     {(y, x): v for (x, y), v in self._hom.items()},
+                     self._into, self._out)
+            op._op, self._op = weakref.ref(self), op
         return op
 
     def validate(self):
@@ -144,55 +159,43 @@ class FinCategory:
         for m in self.morphisms.values():
             if m.dom not in objects or m.cod not in objects:
                 raise ValueError(f"morphism {m.name!r} has unknown endpoints")
+        # composable pairs, or every pair for a g with a non-composable entry
+        clash = {g for g, f in self.comp if self.morphisms[f].cod != self.morphisms[g].dom}
         for g in self.morphisms.values():
-            for f in self.morphisms.values():
-                if f.cod != g.dom:
-                    if (g.name, f.name) in self.comp:
-                        raise ValueError(f"composite of non-composable {g.name!r}, {f.name!r}")
+            for f in self.morphisms if g.name in clash else self.into(g.dom):
+                if self.morphisms[f].cod != g.dom:
+                    if (g.name, f) in self.comp:
+                        raise ValueError(f"composite of non-composable {g.name!r}, {f!r}")
                     continue
-                h = self.comp.get((g.name, f.name))
+                h = self.comp.get((g.name, f))
                 if h is None:
-                    raise ValueError(f"missing composite {g.name!r} . {f.name!r}")
+                    raise ValueError(f"missing composite {g.name!r} . {f!r}")
                 hm = self.morphisms.get(h)
-                if hm is None or hm.dom != f.dom or hm.cod != g.cod:
-                    raise ValueError(f"composite {g.name!r} . {f.name!r} ill-typed")
+                if hm is None or hm.dom != self.morphisms[f].dom or hm.cod != g.cod:
+                    raise ValueError(f"composite {g.name!r} . {f!r} ill-typed")
         for f in self.morphisms.values():
             if self.compose(f.name, self.ident(f.dom)) != f.name:
                 raise ValueError(f"right unit law fails at {f.name!r}")
             if self.compose(self.ident(f.cod), f.name) != f.name:
                 raise ValueError(f"left unit law fails at {f.name!r}")
-        for h in self.morphisms.values():
-            for g in self.morphisms.values():
-                if g.cod != h.dom:
-                    continue
-                for f in self.morphisms.values():
-                    if f.cod != g.dom:
-                        continue
-                    if self.compose(h.name, self.compose(g.name, f.name)) != \
-                            self.compose(self.compose(h.name, g.name), f.name):
-                        raise ValueError(
-                            f"associativity fails at {h.name!r}, {g.name!r}, {f.name!r}")
+        # composable triples only, in the order of a full scan
+        for h in self.morphisms:
+            for g in self.into(self.dom(h)):
+                hg = self.compose(h, g)
+                for f in self.into(self.dom(g)):
+                    if self.compose(h, self.compose(g, f)) != self.compose(hg, f):
+                        raise ValueError(f"associativity fails at {h!r}, {g!r}, {f!r}")
 
     @staticmethod
     def from_poset(poset):
         """The category with a unique morphism for each related pair,
         named ``"a<=b"``."""
         objects = list(poset.elements)
-        morphs = []
-        names = {}
-        for a in objects:
-            for b in objects:
-                if poset.leq(a, b):
-                    n = f"{a}<={b}"
-                    names[(a, b)] = n
-                    morphs.append(Morphism(n, a, b))
-        idents = {a: names[(a, a)] for a in objects}
-        comp = {}
-        for (a, b), f in names.items():
-            for (b2, c), g in names.items():
-                if b2 == b:
-                    comp[(g, f)] = names[(a, c)]
-        return FinCategory(objects, morphs, idents, comp)
+        pairs = [(a, b) for a in objects for b in objects if poset.leq(a, b)]
+        comp = {(f"{b}<={c}", f"{a}<={b}"): f"{a}<={c}"
+                for a, b in pairs for c in objects if poset.leq(b, c)}
+        return FinCategory(objects, [Morphism(f"{a}<={b}", a, b) for a, b in pairs],
+                           {a: f"{a}<={a}" for a in objects}, comp)
 
     def __repr__(self):
         return f"FinCategory({len(self.objects)} objects, {len(self.morphisms)} morphisms)"

@@ -120,14 +120,11 @@ def nerve_category(cat, bound):
     cells = [[] for _ in range(bound + 1)]
     faces = {}
     cells[0] = [("v", x) for x in cat.objects]
-    nonid = [f for f in cat.morphism_names() if not cat.is_identity(f)]
-    out = {x: [] for x in cat.objects}
-    for f in nonid:
-        out[cat.dom(f)].append(f)
-    prev = [(f,) for f in nonid]
+    prev = [(f,) for f in cat.morphism_names() if not cat.is_identity(f)]
     for d in range(1, bound + 1):
         cur = prev if d == 1 else [chain + (f,) for chain in prev
-                                   for f in out[cat.cod(chain[-1])]]
+                                   for f in cat.out(cat.cod(chain[-1]))
+                                   if not cat.is_identity(f)]
         cells[d] = [("c",) + chain for chain in cur]
         for chain in cur:
             cell = ("c",) + chain

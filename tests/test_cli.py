@@ -7,9 +7,13 @@ from pathlib import Path
 import pytest
 
 from fraction_forge import cli
-from fraction_forge.marked import MarkedCategory, nerve_marked
 from fraction_forge.sset_core import io as ffio
-from fraction_forge.sset_core.cat import FinCategory, Poset
+
+# the graph payloads and malformed inputs live with the golden table,
+# which runs each of them too
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from golden_cli import BOX, BOX_FAULTS, PROBE, SPOILS, VALUES, msset
 
 CORPUS = cli.corpus_path()
 
@@ -30,13 +34,8 @@ def graph_file(name):
 
 @pytest.fixture
 def msset_file(tmp_path):
-    C = FinCategory.from_poset(Poset.from_leq(["0", "1"],
-                                              lambda a, b: a <= b))
-    mN = nerve_marked(MarkedCategory(C, {"0<=1"}), 3)
     p = tmp_path / "msset.json"
-    d = ffio.sset_to_dict(mN.base)
-    d["marked"] = sorted(map(ffio.stringify, mN.marked))
-    p.write_text(ffio.dumps(d))
+    p.write_text(ffio.dumps(msset()))
     return str(p)
 
 
@@ -109,42 +108,8 @@ def test_flag_ceilings_exit_2(msset_file):
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
-@pytest.mark.parametrize("kind, argv, spoil", [
-    ("cat", ["fractions", "check"],
-     lambda d: d["morphisms"][0].pop("id")),
-    ("cat", ["fractions", "check"],
-     lambda d: d.update(identities=list(d["identities"].values()))),
-    ("cat", ["fractions", "check"],
-     lambda d: d["morphisms"][0].update(id=[d["morphisms"][0]["id"]])),
-    ("sset", ["localize", "ex"],
-     lambda d: d.update(faces=list(d["faces"].values()))),
-    ("graph", ["graph", "a1", "--base", "0"],
-     lambda d: d.update(vertices=[[v] for v in d["vertices"]])),
-    ("graph", ["graph", "a1", "--base", "0"],
-     lambda d: d.update(edges=d["edges"][:2])),
-    ("graph", ["corpus", "run"],
-     lambda d: d.update(vertices=[], edges=[])),
-    ("graph", ["corpus", "run"],
-     lambda d: d.update(edges=d["edges"][:2])),
-    ("sset", ["localize", "ex", "--levels", "2"],
-     lambda d: d.update(dim_bound=1, cells=d["cells"][:2])),
-    ("sset", ["fractions", "lift"],
-     lambda d: d.update(dim_bound=2, cells=d["cells"][:3])),
-    ("cat", ["fractions", "check"], None),
-    *(("cat", argv, lambda d: d["objects"].append(d["objects"][0]))
-      for argv in (["fractions", "check", "--mode", "infty"],
-                   ["localize", "compare"], ["mapspace"])),
-    ("cat", ["fractions", "check"],
-     lambda d: d["identities"].update(ghost=d["morphisms"][0]["id"])),
-    ("cat", ["fractions", "check"],
-     lambda d: d["comp"].append(["ghost"] + [d["morphisms"][0]["id"]] * 2)),
-], ids=["missing-id", "identities-list", "list-id", "faces-list",
-        "list-vertex", "disconnected-graph", "corpus-empty-graph",
-        "corpus-disconnected-graph", "ex-levels-above-dim-bound",
-        "lift-below-dim-bound-3", "directory-input",
-        "duplicate-object-infty", "duplicate-object-compare",
-        "duplicate-object-mapspace", "identity-of-unknown-object",
-        "comp-names-unknown-morphism"])
+@pytest.mark.parametrize("kind, argv, spoil", [s[1:] for s in SPOILS],
+                         ids=[s[0] for s in SPOILS])
 def test_malformed_input_exits_2_without_traceback(tmp_path, msset_file,
                                                    kind, argv, spoil):
     source = {"cat": cat_file("chain1_marked"), "sset": msset_file,
@@ -385,18 +350,11 @@ def test_graph_a1_integer_vertices(capsys, tmp_path):
 
 def test_graph_nerve_box(capsys, tmp_path):
     box = tmp_path / "box.json"
-    box.write_text(json.dumps({
-        "n": 2, "missing": [2, 1],
-        "faces": {"1,0": ["0", "1"], "1,1": ["3", "2"],
-                  "2,0": ["0", "3"]}}))
+    box.write_text(json.dumps(BOX))
     code, out = run(capsys, "graph", "nerve-box",
                     "--input", graph_file("cycle4"), "--box", str(box),
                     "--window", "4")
     assert code == 0 and out["filler"]["extents"] == [1, 1]
-
-
-BOX = {"n": 2, "missing": [2, 1],
-       "faces": {"1,0": ["0", "1"], "1,1": ["3", "2"], "2,0": ["0", "3"]}}
 
 
 def run_box(capsys, tmp_path, box):
@@ -407,48 +365,81 @@ def run_box(capsys, tmp_path, box):
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("change,message", [
-    ({"faces": []}, "malformed box payload: faces must be an object"),
-    ({"n": 3}, "open boxes supported for n <= 2"),
-    ({"faces": {"1,0": ["0", "1"], "1,1": ["3", "2"], "2,1": ["1", "2"]}},
-     "expected faces for exactly [(1, 0), (1, 1), (2, 0)]"),
-    ({"faces": {**BOX["faces"], "1,0": []}}, "face 1,0 is not a walk"),
-    ({"faces": {**BOX["faces"], "1,0": ["x"]}}, "face 1,0 is not a walk"),
-])
+@pytest.mark.parametrize("change,message", [f[1:] for f in BOX_FAULTS])
 def test_graph_nerve_box_malformed_exits_2(capsys, tmp_path, change, message):
     code, err = run_box(capsys, tmp_path, {**BOX, **change})
     assert code == 2 and err.startswith("error: ") and message in err
 
 
+def mutants(d):
+    """``d`` with each field replaced by a list, an object, a number, a
+    string or null, or deleted."""
+    for key in d:
+        yield from ({**d, key: v} for v in VALUES)
+        yield {k: v for k, v in d.items() if k != key}
+
+
 def test_graph_nerve_box_mutations_never_raise(capsys, tmp_path):
-    # each field replaced by a list, an object, a number, a string or
-    # null, or deleted: the run ends with 0, 1 or 2, never a traceback
-    values = [[], [1, 2, 3], [[0]], {}, {"1,0": ["0"]}, 0, 3, -1, 2.0,
-              True, "", "2,1", None]
-    for key in BOX:
-        for box in [{**BOX, key: v} for v in values] + [
-                {k: v for k, v in BOX.items() if k != key}]:
-            code, err = run_box(capsys, tmp_path, box)
-            assert code in (0, 1, 2), (box, err)
-            assert code != 2 or err.startswith("error: "), (box, err)
+    # every mutant ends with 0, 1 or 2, never a traceback
+    for box in mutants(BOX):
+        code, err = run_box(capsys, tmp_path, box)
+        assert code in (0, 1, 2), (box, err)
+        assert code != 2 or err.startswith("error: "), (box, err)
+
+
+def run_probe(capsys, tmp_path, **files):
+    argv = ["graph", "pullback-probe", "--radius", "1"]
+    for name, d in {**PROBE, **files}.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 def test_graph_pullback_probe(capsys, tmp_path):
-    point = {"vertices": ["p"], "edges": []}
-    c4 = {"vertices": ["0", "1", "2", "3"],
-          "edges": [["0", "1"], ["1", "2"], ["2", "3"], ["3", "0"]]}
-    f = tmp_path / "f.json"
-    f.write_text(json.dumps({"src": c4, "dst": point,
-                             "mapping": {v: "p" for v in "0123"}}))
-    g = tmp_path / "g.json"
-    g.write_text(json.dumps({"src": point, "dst": point,
-                             "mapping": {"p": "p"}}))
-    vx = tmp_path / "vx.json"
-    vx.write_text(json.dumps({"x": "0", "p": [0, ["p"]],
-                              "q": [0, ["p"]], "y": "p"}))
-    code, out = run(capsys, "graph", "pullback-probe", "--f", str(f),
-                    "--g", str(g), "--vertex", str(vx), "--radius", "1")
-    assert code == 0 and out["ball_size"] >= 1
+    code, out, _ = run_probe(capsys, tmp_path)
+    assert code == 0 and json.loads(out)["ball_size"] >= 1
+
+
+@pytest.mark.parametrize("key", ["p", "q"])
+def test_graph_pullback_probe_string_walk_exits_2(capsys, tmp_path, key):
+    # a string is no walk, even when its characters name vertices
+    code, _, err = run_probe(capsys, tmp_path,
+                             vertex={**PROBE["vertex"], key: [0, "p"]})
+    assert code == 2
+    assert err.startswith("error: ") and "must be lists" in err
+
+
+@pytest.mark.parametrize("kind", ["cat", "sset", "graph", "graph-map",
+                                  "vertex"])
+def test_loader_mutations_never_raise(capsys, tmp_path, msset_file, kind):
+    """Every mutant of an input file ends with exit 0, 1 or 2 and no
+    traceback, and every exit 2 prints an error line."""
+    if kind in ("graph-map", "vertex"):
+        name = "f" if kind == "graph-map" else "vertex"
+
+        def call(d):
+            return run_probe(capsys, tmp_path, **{name: d})
+        source = PROBE[name]
+    else:
+        argv, path = {
+            "cat": (["fractions", "check"], cat_file("chain2_marked_01")),
+            "sset": (["fractions", "lift"], msset_file),
+            "graph": (["graph", "a1", "--base", "0"], graph_file("cycle5")),
+        }[kind]
+        source = json.loads(Path(path).read_text())
+        spoiled = tmp_path / "spoiled.json"
+
+        def call(d):
+            spoiled.write_text(json.dumps(d))
+            code = cli.main([*argv, "--input", str(spoiled)])
+            out = capsys.readouterr()
+            return code, out.out, out.err
+    for d in mutants(source):
+        code, _, err = call(d)
+        assert code in (0, 1, 2), (d, err)
+        assert code != 2 or err.startswith("error: "), (d, err)
 
 
 # -- corpus and dot export -----------------------------------------------
