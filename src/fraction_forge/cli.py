@@ -379,6 +379,7 @@ def corpus_path():
 
 def _corpus_cat_report(path):
     mc = _load_marked_cat(path)
+    expect = _read_expect(path)
     report = {}
     proper_clf = check_proper_clf(mc).ok
     proper_crf = check_proper_crf(mc).ok
@@ -420,7 +421,7 @@ def _corpus_cat_report(path):
                 if not pi0s[(x, y)].ok:
                     failures.append(f"pi0 mapping differs at ({x!r},{y!r})")
 
-    return _expected(ffio.read_json(path).get("expect", {}), report, failures)
+    return _expected(expect, report, failures)
 
 
 def _corpus_graph_report(path):
@@ -435,11 +436,22 @@ def _corpus_graph_report(path):
         "a1_torsion": torsion,
         "a1_trivial": bool(is_trivial_presentation(p)),
     }
-    expect = ffio.read_json(path).get("expect", {})
+    expect = _read_expect(path)
     if "oracle_classes" in expect:
         report["oracle_classes"], _ = a1_bfs_oracle(
             G, base, max_loop_len=expect.get("oracle_bound", 8))
     return _expected(expect, report, [])
+
+
+def _read_expect(path):
+    """A corpus file's ``expect``, checked as input."""
+    expect = ffio.read_json(path).get("expect", {})
+    if not isinstance(expect, dict):
+        raise InputError(f"{path}: expect must be an object")
+    bound = expect.get("oracle_bound", 8)
+    if type(bound) is not int or not 1 <= bound <= MAX_ORACLE_BOUND:
+        raise InputError(f"{path}: oracle_bound must be 1..{MAX_ORACLE_BOUND}")
+    return expect
 
 
 def _expected(expect, report, failures):

@@ -18,10 +18,10 @@ from .marked import (
     subset_nerve,
 )
 from .sset_core.build import from_levels
-from .sset_core.enumerate import Check, enumerate_maps
+from .sset_core.enumerate import Check
 from .sset_core.nerves import nerve_map
 from .sset_core.ops import delta, sigma
-from .sset_core.sset import SMap, Simplex, compose_smap, surjections
+from .sset_core.sset import SMap, Simplex, surjections
 from .sset_core.unionfind import UnionFind
 
 
@@ -50,6 +50,14 @@ def sd_map(phi, m, n):
     """
     return nerve_map(lambda A: frozenset(phi[a] for a in A),
                      sd_plus(m).base, sd_plus(n).base)
+
+
+def _sd_coface(d, i):
+    return sd_map(delta(i, d), d - 1, d)
+
+
+def _sd_codegeneracy(d, i):
+    return sd_map(sigma(i, d), d + 1, d)
 
 
 # -- marked subdivision of a finite simplicial set -----------------------
@@ -87,7 +95,7 @@ def Sd_plus(X):
         for u in X.cells[m]:
             for i in range(m + 1):
                 fs = X.faces[u][i]
-                hi = sd_map(delta(i, m), m - 1, m)
+                hi = _sd_coface(m, i)
                 lo = sd_map(fs.op, m - 1, X.dim_of(fs.cell))
                 for d in range(top + 1):
                     for t in sd_simplices(m - 1, d):
@@ -126,8 +134,7 @@ def ex_plus(mx, levels=2):
         raise ValueError(
             f"level-{levels} answers need dimension bound >= {levels}")
     cache = level_maps(mx, [sd_plus(d) for d in range(levels + 1)],
-                       lambda d, i: sd_map(delta(i, d), d - 1, d),
-                       lambda d, i: sd_map(sigma(i, d), d + 1, d))
+                       _sd_coface, _sd_codegeneracy)
     cache.side = "L"
     for lvl in cache.levels.values():
         lvl.sort()
@@ -209,23 +216,15 @@ def compare_with_kan_ex(X, levels=2):
     actions compared entry by entry."""
     if X.dim_bound < levels:
         raise ValueError(f"need dimension bound >= {levels}")
-    kan_levels = {}
-    kan_maps = {}
-    for d in range(levels + 1):
-        fs = enumerate_maps(sd_plus(d).base, X)
-        kan_levels[d] = sorted(f.serialize() for f in fs)
-        for f in fs:
-            kan_maps[f.serialize()] = f
+    kan = level_maps(MarkedSSet(X),
+                     [MarkedSSet(sd_plus(d).base) for d in range(levels + 1)],
+                     _sd_coface, _sd_codegeneracy)
     cache = ex_plus(maximal_marking(X), levels=levels)
     for d in range(levels + 1):
-        if kan_levels[d] != cache.levels[d]:
-            return Check(False, {"level": d, "kan": len(kan_levels[d]),
+        if sorted(kan.levels[d]) != cache.levels[d]:
+            return Check(False, {"level": d, "kan": len(kan.levels[d]),
                                  "marked": len(cache.levels[d])})
-    for d in range(1, levels + 1):
-        for i in range(d + 1):
-            structural = sd_map(delta(i, d), d - 1, d)
-            for s in kan_levels[d]:
-                img = compose_smap(kan_maps[s], structural).serialize()
-                if img != cache.face_tbl[(d, i)][s]:
-                    return Check(False, {"level": d, "op": ("face", i)})
+    for (d, i), tbl in kan.face_tbl.items():
+        if tbl != cache.face_tbl[(d, i)]:
+            return Check(False, {"level": d, "op": ("face", i)})
     return Check(True)

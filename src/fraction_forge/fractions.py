@@ -9,14 +9,14 @@ max-equal (resp. min-equal) rule; the J variant omits the vertex [n].
 from .marked import (
     MarkedSSet,
     effective_marking,
-    enumerate_marked_maps,
     is_weakly_closed,
+    marking_filter,
     subset_nerve,
 )
 from .sset_core.cat import Poset
 # ``enumerate_maps`` stays importable from here: perfbench's tracer tests
 # read it under this name
-from .sset_core.enumerate import Check, enumerate_maps  # noqa: F401
+from .sset_core.enumerate import Check, enumerate_maps, first_unliftable  # noqa: F401
 from .sset_core.nerves import nerve_map, nerve_poset
 from .sset_core.ops import identity_op
 from .sset_core.sset import Simplex
@@ -43,15 +43,14 @@ def shape(n, k, side="L", variant="I"):
 # -- right lifting property against shape inclusions ---------------------
 
 def has_rlp(mx, n, k, side="L"):
-    """RLP of (X, W) against (J -> I)^n_k; witness = unextendable map."""
-    J = shape(n, k, side, "J")
+    """RLP of (X, W) against (J -> I)^n_k; witness = unextendable map.
+    J's marked edges are I's that lie in J, so I's marking filters both."""
     I = shape(n, k, side, "I")
-    for f in enumerate_marked_maps(J, mx):
-        if not enumerate_marked_maps(I, mx, partial=dict(f.assignment),
-                                     limit=1):
-            return Check(False, {"n": n, "k": k, "side": side,
-                                 "map": f.serialize()})
-    return Check(True)
+    f = first_unliftable(shape(n, k, side, "J").base, I.base, mx.base,
+                         edge_ok=marking_filter(I, mx))
+    if f is None:
+        return Check(True)
+    return Check(False, {"n": n, "k": k, "side": side, "map": f.serialize()})
 
 
 # -- classical calculus of fractions ------------------------------------

@@ -141,13 +141,15 @@ def cat_is_two_out_of_three(mc):
 
 # -- marked maps ---------------------------------------------------------
 
-def enumerate_marked_maps(ma, mx, partial=None, limit=None):
-    """All marking-preserving simplicial maps between marked SSets
-    (the first ``limit`` of them, if given)."""
-    def edge_ok(cell, image):
-        return cell not in ma.marked or mx.is_marked(image)
-    return enumerate_maps(ma.base, mx.base, partial=partial, edge_ok=edge_ok,
-                          limit=limit)
+def marking_filter(ma, mx):
+    """``edge_ok`` of the maps ``ma -> mx``: marked edges go to marked."""
+    return lambda cell, image: cell not in ma.marked or mx.is_marked(image)
+
+
+def enumerate_marked_maps(ma, mx, partial=None):
+    """All marking-preserving simplicial maps between marked SSets."""
+    return enumerate_maps(ma.base, mx.base, partial=partial,
+                          edge_ok=marking_filter(ma, mx))
 
 
 class LevelMaps:

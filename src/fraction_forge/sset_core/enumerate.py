@@ -1,6 +1,6 @@
 """Backtracking enumeration of simplicial maps and horn-filling checks."""
 
-from itertools import islice
+from itertools import count, islice
 
 from .nerves import horn, standard_simplex
 from .ops import compose, delta
@@ -9,32 +9,19 @@ from .sset import SMap
 
 def _placement_order(A, preassigned):
     """Cells of ``A`` ordered so each cell follows the cells of its faces,
-    interleaved for early pruning.  Preassigned cells come first."""
-    placed = set(preassigned)
-    order = [c for cs in A.cells for c in cs if c in placed]
-    remaining = [[c for c in cs if c not in placed] for cs in A.cells]
-    total = sum(len(cs) for cs in remaining)
-    while total:
-        progress = True
-        while progress:
-            progress = False
-            for d in range(1, len(remaining)):
-                for c in list(remaining[d]):
-                    if all(s.cell in placed for s in A.faces[c]):
-                        order.append(c)
-                        placed.add(c)
-                        remaining[d].remove(c)
-                        total -= 1
-                        progress = True
-        if remaining[0]:
-            c = remaining[0].pop(0)
-            order.append(c)
-            placed.add(c)
-            total -= 1
-        elif total:
-            # cells whose faces lie outside the complex cannot occur
-            raise ValueError("face-closure violated in domain complex")
-    return order
+    interleaved for early pruning: the preassigned cells, then each free
+    vertex followed by the cells whose last face it places, each step in
+    ``A.cells`` order (by dimension, then index: the sort is stable)."""
+    step, free = {}, count(1)
+    for d, cs in enumerate(A.cells):
+        for c in cs:
+            if c in preassigned:
+                step[c] = -1
+            elif d == 0:
+                step[c] = next(free)
+            else:
+                step[c] = max(0, *(step[f.cell] for f in A.faces[c]))
+    return sorted(step, key=step.__getitem__)
 
 
 def _maps(A, X, partial, edge_ok):
@@ -122,10 +109,21 @@ def enumerate_maps(A, X, partial=None, edge_ok=None, limit=None):
     compatibility is enforced, not assumed).  ``edge_ok(cell, image)``
     filters images of non-degenerate 1-cells (e.g. marking preservation).
     ``limit`` caps the number of maps returned (the first ones, in the
-    same order); existence checks pass ``limit=1``.
+    same order).
     """
     found = islice(_maps(A, X, dict(partial or {}), edge_ok), limit)
     return [SMap(A, X, asg) for asg in found]
+
+
+def first_unliftable(A, B, X, edge_ok=None):
+    """The first map ``A -> X``, in enumeration order, with no extension
+    over ``B ⊇ A``, or None: the deciders' one ∀∃ (lifting) search.
+    ``edge_ok`` filters the edge images of both searches."""
+    for f in enumerate_maps(A, X, edge_ok=edge_ok):
+        if not enumerate_maps(B, X, partial=f.assignment, edge_ok=edge_ok,
+                              limit=1):
+            return f
+    return None
 
 
 class Check:
@@ -155,9 +153,7 @@ def is_quasicategory_upto(X, bound):
     for n in range(2, bound + 1):
         D = standard_simplex(n, bound=X.dim_bound)
         for k in range(1, n):
-            H = horn(n, k, bound=X.dim_bound)
-            for f in enumerate_maps(H, X):
-                if not enumerate_maps(D, X, partial=dict(f.assignment),
-                                      limit=1):
-                    return Check(False, {"n": n, "k": k, "horn_map": f.serialize()})
+            f = first_unliftable(horn(n, k, bound=X.dim_bound), D, X)
+            if f is not None:
+                return Check(False, {"n": n, "k": k, "horn_map": f.serialize()})
     return Check(True)

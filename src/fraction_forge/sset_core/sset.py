@@ -7,7 +7,8 @@ non-degenerate and ``op`` a monotone surjection (Eilenberg-Zilber).
 
 from itertools import combinations
 
-from .ops import compose, delta, epi_mono_factor, identity_op, is_surjection, sigma
+from .ops import (compose, delta, epi_mono_factor, identity_op, is_surjection,
+                  sigma, surj_from_word)
 
 
 class Frozen:
@@ -169,21 +170,12 @@ class SSet:
 
 
 def surjections(n, m):
-    """All monotone surjections ``[n] -> [m]`` in deterministic order."""
+    """All monotone surjections ``[n] -> [m]`` in deterministic order: by
+    their ``n - m`` repeat positions, in ``combinations`` order."""
     if m > n or m < 0:
         return []
-    out = []
-    # choose the n - m repeat positions among 0 .. n-1
-    for rep in combinations(range(n), n - m):
-        repset = set(rep)
-        op = []
-        v = 0
-        for i in range(n + 1):
-            op.append(v)
-            if i not in repset:
-                v += 1
-        out.append(tuple(op))
-    return out
+    return [surj_from_word(rep[::-1], n)
+            for rep in combinations(range(n), n - m)]
 
 
 class SMap:

@@ -2,7 +2,10 @@
 maps, and the marked cylinder ``(X, W) x (Δ¹)♯`` built on it, as the
 slices used them before their cylinders became poset nerves.  Kept as a
 differential oracle for ``localize._cylinder`` and for the tests that
-need the cylinder of a marked simplicial set other than a simplex."""
+need the cylinder of a marked simplicial set other than a simplex.  Also
+the surjection builder as it was before it called ``surj_from_word``."""
+
+from itertools import combinations
 
 from fraction_forge.marked import MarkedSSet
 from fraction_forge.sset_core.nerves import standard_simplex
@@ -132,3 +135,24 @@ def cylinder(mx):
             marked.add(cell)
     mp = MarkedSSet(P, marked)
     return mp, end_inclusion(X, D1, P, 0), end_inclusion(X, D1, P, 1)
+
+
+# -- surjections ---------------------------------------------------------
+
+def loop_surjections(n, m):
+    """All monotone surjections ``[n] -> [m]``, built from each choice of
+    repeat positions by its own loop."""
+    if m > n or m < 0:
+        return []
+    out = []
+    # choose the n - m repeat positions among 0 .. n-1
+    for rep in combinations(range(n), n - m):
+        repset = set(rep)
+        op = []
+        v = 0
+        for i in range(n + 1):
+            op.append(v)
+            if i not in repset:
+                v += 1
+        out.append(tuple(op))
+    return out

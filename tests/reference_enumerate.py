@@ -1,8 +1,17 @@
 """Reference map enumerator: the search engine as it was before the face
 index and the normal-form memo, kept as a differential oracle for
 ``fraction_forge.sset_core.enumerate``.  It scans every d-simplex of the
-target for each cell and re-derives every face normal form."""
+target for each cell and re-derives every face normal form.
 
+Also the placement order as a fixed-point loop, and the two lifting
+checks as nested loops over the engine's maps, as they were before
+``first_unliftable``.
+"""
+
+from fraction_forge.fractions import shape
+from fraction_forge.marked import marking_filter
+from fraction_forge.sset_core import enumerate as engine
+from fraction_forge.sset_core.nerves import horn, standard_simplex
 from fraction_forge.sset_core.sset import SMap
 
 
@@ -97,3 +106,34 @@ def enumerate_maps(A, X, partial=None, edge_ok=None):
 
 def _comp(f, g):
     return tuple(f[v] for v in g)
+
+
+def has_rlp(mx, n, k, side="L"):
+    """``fractions.has_rlp`` as nested loops: the J-maps under J's own
+    marking, each extended over I under I's."""
+    J = shape(n, k, side, "J")
+    I = shape(n, k, side, "I")
+    for f in engine.enumerate_maps(J.base, mx.base,
+                                   edge_ok=marking_filter(J, mx)):
+        if not engine.enumerate_maps(I.base, mx.base,
+                                     partial=dict(f.assignment),
+                                     edge_ok=marking_filter(I, mx), limit=1):
+            return engine.Check(False, {"n": n, "k": k, "side": side,
+                                        "map": f.serialize()})
+    return engine.Check(True)
+
+
+def is_quasicategory_upto(X, bound):
+    """``sset_core.is_quasicategory_upto`` as nested loops."""
+    if bound > X.dim_bound:
+        raise ValueError("cannot check horns above the dim bound")
+    for n in range(2, bound + 1):
+        D = standard_simplex(n, bound=X.dim_bound)
+        for k in range(1, n):
+            H = horn(n, k, bound=X.dim_bound)
+            for f in engine.enumerate_maps(H, X):
+                if not engine.enumerate_maps(D, X, partial=dict(f.assignment),
+                                             limit=1):
+                    return engine.Check(False, {"n": n, "k": k,
+                                                "horn_map": f.serialize()})
+    return engine.Check(True)

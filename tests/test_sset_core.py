@@ -19,7 +19,7 @@ from fraction_forge.sset_core.enumerate import Check
 from fraction_forge.sset_core.ops import surj_from_word, word_from_surj
 from fraction_forge.sset_core.sset import Simplex, SMap, SSet, surjections
 from helpers import find_isomorphism
-from reference_build import product
+from reference_build import loop_surjections, product
 
 
 def counts(X):
@@ -41,6 +41,13 @@ def test_words_roundtrip():
                 assert surj_from_word(word_from_surj(op), n) == op
     with pytest.raises(ValueError):
         surj_from_word([0, 1], 3)  # not strictly decreasing
+
+
+def test_surjections_keep_the_loop_builders_order():
+    # face-index buckets and every enumeration order follow this order
+    for n in range(7):
+        for m in range(-1, n + 2):
+            assert surjections(n, m) == loop_surjections(n, m), (n, m)
 
 
 def test_face_normalization_degenerate():

@@ -101,7 +101,7 @@ PROBE = {
 # malformed inputs, each ``(id, kind, argv, spoil)``: ``spoil`` edits a
 # category (chain1_marked), a marked simplicial set (``msset()``) or a
 # graph (cycle5) in place, and None puts a directory where the file
-# goes; a `corpus run` reads the graph from a corpus directory
+# goes; a `corpus run` reads the category or graph from a corpus directory
 SPOILS = [
     ("missing-id", "cat", ["fractions", "check"],
      lambda d: d["morphisms"][0].pop("id")),
@@ -119,6 +119,12 @@ SPOILS = [
      lambda d: d.update(vertices=[], edges=[])),
     ("corpus-disconnected-graph", "graph", ["corpus", "run"],
      lambda d: d.update(edges=d["edges"][:2])),
+    ("corpus-expect-list", "cat", ["corpus", "run"],
+     lambda d: d.update(expect=["x"])),
+    ("corpus-oracle-bound-string", "graph", ["corpus", "run"],
+     lambda d: d["expect"].update(oracle_bound="8")),
+    ("corpus-oracle-bound-11", "graph", ["corpus", "run"],
+     lambda d: d["expect"].update(oracle_bound=11)),
     ("ex-levels-above-dim-bound", "sset", ["localize", "ex", "--levels", "2"],
      lambda d: d.update(dim_bound=1, cells=d["cells"][:2])),
     ("lift-below-dim-bound-3", "sset", ["fractions", "lift"],
@@ -223,7 +229,8 @@ def graph_calls():
 def malformed_calls():
     for id, kind, argv, spoil in SPOILS:
         if argv[0] == "corpus":
-            path, argv = "in/graphs/spoiled.json", [*argv, "--path", "in"]
+            path = f"in/{kind}s/spoiled.json"
+            argv = [*argv, "--path", "in"]
         else:
             path, argv = "in/spoiled.json", [*argv, "--input", "in/spoiled.json"]
         yield (f"spoiled-{id}", argv,
