@@ -224,7 +224,9 @@ def compare_with_kan_ex(X, levels=2):
         if sorted(kan.levels[d]) != cache.levels[d]:
             return Check(False, {"level": d, "kan": len(kan.levels[d]),
                                  "marked": len(cache.levels[d])})
-    for (d, i), tbl in kan.face_tbl.items():
-        if tbl != cache.face_tbl[(d, i)]:
-            return Check(False, {"level": d, "op": ("face", i)})
+    for op, want, got in (("face", kan.face_tbl, cache.face_tbl),
+                          ("degeneracy", kan.degen_tbl, cache.degen_tbl)):
+        for (d, i), tbl in want.items():
+            if tbl != got[(d, i)]:
+                return Check(False, {"level": d, "op": (op, i)})
     return Check(True)

@@ -56,17 +56,18 @@ def has_rlp(mx, n, k, side="L"):
 # -- classical calculus of fractions ------------------------------------
 
 def marked_tables(mc):
-    """The marked arrows W (identities included), sorted, and the sorted
-    lists of those out of and into each object."""
-    C = mc.cat
-    W = effective_marking(mc)
-    ordered = sorted(W)
+    """The ids of the marked arrows W (identities included), every arrow
+    id in the sorted order of the names, and the marked ids out of and
+    into each object in that order."""
+    C, W = mc.cat, effective_marking(mc)
+    order = list(map(C.morphisms.__getitem__, sorted(C.morphisms)))
     out = {x: [] for x in C.objects}
     into = {x: [] for x in C.objects}
-    for w in ordered:
-        out[C.dom(w)].append(w)
-        into[C.cod(w)].append(w)
-    return W, ordered, out, into
+    for w in order:
+        if w in W:
+            out[C.doms[w]].append(w)
+            into[C.cods[w]].append(w)
+    return W, order, out, into
 
 
 def check_clf_classical(mc):
@@ -74,39 +75,41 @@ def check_clf_classical(mc):
     return _classical(mc.cat, *marked_tables(mc))
 
 
-def _classical(C, W, ordered, out, into):
+def _classical(C, W, order, out, into):
     # outer loops keep sorted order: the first witness is a full scan's
+    names, doms, cods, t, n = C.names, C.doms, C.cods, C.table, len(C.names)
     # (1) closure under composition (identities are implicit)
-    for w in ordered:
-        for v in out[C.cod(w)]:
-            if C.compose(v, w) not in W:
-                return Check(False, {"condition": 1, "pair": (w, v)})
-    # (2) span completion
-    names = sorted(C.morphism_names())
-    for f in names:
-        for w in out[C.dom(f)]:
-            if completion(C, f, w, out) is None:
-                return Check(False, {"condition": 2, "span": (f, w)})
+    for w in order:
+        for v in out[cods[w]] if w in W else ():
+            if t[v * n + w] not in W:
+                return Check(False, {"condition": 1, "pair": (names[w], names[v])})
+    # (2) span completion; a span with an identity leg completes at once
+    for f in order:
+        e = C.idents[doms[f]]
+        for w in out[doms[f]] if f != e else ():
+            if w != e and completion(C, f, w, out) is None:
+                return Check(False, {"condition": 2, "span": (names[f], names[w])})
     # (3) coequalizing marked arrows
-    for f in names:
-        x, y = C.dom(f), C.cod(f)
-        for g in sorted(C.hom(x, y)):
-            if g <= f or not any(C.compose(f, w) == C.compose(g, w)
-                                 for w in into[x]):
-                continue
-            if not any(C.compose(v, f) == C.compose(v, g) for v in out[y]):
-                return Check(False, {"condition": 3, "pair": (f, g)})
+    for f in order:
+        x, y = doms[f], cods[f]
+        hom = C.hom_ids(x, y)
+        for g in sorted(hom, key=names.__getitem__) if len(hom) > 1 else ():
+            if names[g] > names[f] and any(
+                    t[f * n + w] == t[g * n + w] for w in into[x]) and not any(
+                    t[v * n + f] == t[v * n + g] for v in out[y]):
+                return Check(False, {"condition": 3, "pair": (names[f], names[g])})
     return Check(True)
 
 
 def completion(C, f, w, out, among=None):
-    """The first square (f', w') completing the span (f, w), with
+    """The first square (f', w') of ids completing the span (f, w), with
     f'.w = w'.f, w' in the marked arrows ``out`` of the codomain of f
     and f' in ``among`` if given; None if there is none."""
-    for wp in out[C.cod(f)]:
-        target = C.compose(wp, f)
-        for fp in C.hom(C.cod(w), C.cod(wp)):
-            if C.compose(fp, w) == target and (among is None or fp in among):
+    t, n = C.table, len(C.names)
+    for wp in out[C.cods[f]]:
+        target = t[wp * n + f]
+        for fp in C.hom_ids(C.cods[w], C.cods[wp]):
+            if t[fp * n + w] == target and (among is None or fp in among):
                 return fp, wp
     return None
 
@@ -117,11 +120,12 @@ def check_proper_clf(mc):
     base = _classical(C, *tables)
     if not base.ok:
         return base
-    W, ordered, out, _ = tables
-    for f in ordered:
-        for w in out[C.dom(f)]:
-            if completion(C, f, w, out, among=W) is None:
-                return Check(False, {"condition": "2'", "span": (f, w)})
+    W, order, out, _ = tables
+    for f in order:  # spans with an identity leg complete at once, as in (2)
+        e = C.idents[C.doms[f]]
+        for w in out[C.doms[f]] if f in W and f != e else ():
+            if w != e and completion(C, f, w, out, among=W) is None:
+                return Check(False, {"condition": "2'", "span": (C.names[f], C.names[w])})
     return Check(True)
 
 

@@ -92,28 +92,31 @@ def gz_left_fractions(mc):
     Returns ``(cat, info)``; ``info`` has ``cls`` mapping a cospan
     ``(f, w)`` to its class name, ``canonical`` mapping a morphism of C
     to the class of ``(f, id)``, and ``rep`` mapping a class to its
-    first cospan.  Requires classical CLF.
+    first cospan.  Requires classical CLF.  The cospans and their
+    union-find are over arrow ids, a cospan ``(f, w)`` being ``f * n + w``.
     """
     res = check_clf_classical(mc)
     if not res.ok:
         raise ValueError(f"left fractions need CLF; witness {res.witness}")
     C = mc.cat
-    W, _, out, into = marked_tables(mc)
+    names, ids, t, n = C.names, C.morphisms, C.table, len(C.names)
+    W, order, out, into = marked_tables(mc)
     cospans = {(x, y): [] for x in C.objects for y in C.objects}
-    for f in sorted(C.morphism_names()):
-        for w in into[C.cod(f)]:
-            cospans[(C.dom(f), C.dom(w))].append((f, w))
+    for f in order:
+        for w in into[C.cods[f]]:
+            cospans[(C.doms[f], C.doms[w])].append(f * n + w)
 
     uf = UnionFind()
     for cs in cospans.values():
         for c in cs:
             uf.add(c)
     for cs in cospans.values():
-        for f, w in cs:
-            for p in C.out(C.cod(f)):
-                pw = C.compose(p, w)
+        for c in cs:
+            f, w = divmod(c, n)
+            for p in C.out_ids(C.cods[f]):
+                pw = t[p * n + w]
                 if pw in W:
-                    uf.union((f, w), (C.compose(p, f), pw))
+                    uf.union(c, t[p * n + f] * n + pw)
 
     cls_name = {}
     rep = {}
@@ -128,13 +131,13 @@ def gz_left_fractions(mc):
 
     def compose_cls(b, a):
         """Composite of class b: y -> z after class a: x -> y."""
-        (f, w), (g, v) = rep[a], rep[b]
+        (f, w), (g, v) = divmod(rep[a], n), divmod(rep[b], n)
         u, s = completion(C, g, w, out)
-        return cls_name[(C.compose(u, f), C.compose(s, v))]
+        return cls_name[t[u * n + f] * n + t[s * n + v]]
 
     all_classes = sorted(rep)
     morphs = [Morphism(c, c[1], c[2]) for c in all_classes]
-    idents = {x: cls_name[(C.ident(x), C.ident(x))] for x in C.objects}
+    idents = {x: cls_name[C.idents[x] * n + C.idents[x]] for x in C.objects}
     ending = {y: [] for y in C.objects}
     for a in all_classes:
         ending[a[2]].append(a)
@@ -143,9 +146,9 @@ def gz_left_fractions(mc):
     cat = FinCategory(C.objects, morphs, idents, comp)
 
     info = {
-        "cls": lambda f, w: cls_name[(f, w)],
-        "canonical": lambda f: cls_name[(f, C.ident(C.cod(f)))],
-        "rep": rep,
+        "cls": lambda f, w: cls_name[ids[f] * n + ids[w]],
+        "canonical": lambda f: cls_name[ids[f] * n + C.idents[C.cod(f)]],
+        "rep": {a: (names[c // n], names[c % n]) for a, c in rep.items()},
     }
     return cat, info
 
@@ -223,7 +226,7 @@ def marked_coslice_category(mc, x):
     of x, morphisms are commuting triangles."""
     C = mc.cat
     _, _, out, _ = marked_tables(mc)
-    objs = out[x]
+    objs = [C.names[w] for w in out[x]]
     leaving = {w: [Morphism(("t", w, w2, a), w, w2) for w2 in objs
                    for a in sorted(C.hom(C.cod(w), C.cod(w2)))
                    if C.compose(a, w) == w2] for w in objs}
@@ -432,7 +435,8 @@ def compare_localizations(mc):
                     witnesses.append({"pair": (x, y), "reason": "hom sets differ",
                                       "gz": len(src), "ho_ex": len(dst)})
         # functoriality
-        for (b, a), ba in gz_cat.comp.items():
+        for b, a, ba in ([gz_cat.names[i] for i in c]
+                         for c in gz_cat.composites()):
             if F[ba] != ho.compose(F[b], F[a]):
                 ok = False
                 witnesses.append({"pair": (repr(a), repr(b)),

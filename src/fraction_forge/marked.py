@@ -50,8 +50,9 @@ class MarkedCategory:
 
 
 def effective_marking(mc):
-    """The marked morphisms of a marked category, identities included."""
-    return set(mc.marked) | {mc.cat.ident(x) for x in mc.cat.objects}
+    """The ids of the marked morphisms, identities included."""
+    C = mc.cat
+    return set(map(C.morphisms.__getitem__, mc.marked)).union(C.idents.values())
 
 
 def nerve_marked(mc, bound=3):
@@ -132,10 +133,10 @@ def is_weakly_closed(mx):
 
 def cat_is_two_out_of_three(mc):
     """2-out-of-3 for a marked category (identities counted marked)."""
-    marked = effective_marking(mc)
-    for (g, f), h in mc.cat.comp.items():
+    C, marked = mc.cat, effective_marking(mc)
+    for g, f, h in C.composites():
         if (f in marked) + (g in marked) + (h in marked) == 2:
-            return Check(False, {"f": f, "g": g, "gf": h})
+            return Check(False, {"f": C.names[f], "g": C.names[g], "gf": C.names[h]})
     return Check(True)
 
 

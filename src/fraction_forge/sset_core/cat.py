@@ -52,68 +52,99 @@ class Morphism:
 
 
 class FinCategory:
-    """A finite category: objects, named morphisms, identity and
-    composition tables.  ``comp[(g, f)]`` is the name of ``g . f``."""
+    """A finite category stored by arrow id: ids number the morphisms in
+    their given order, ``names[i]`` is the name of arrow ``i`` and
+    ``morphisms`` maps a name to its id, ``doms[i]``/``cods[i]`` are its
+    ends and ``idents[x]`` is the id of the identity of ``x``.  For ``n``
+    arrows, ``table[g * n + f]`` is the id of ``g . f``, one entry per
+    composable pair.  The constructor takes the names, with
+    ``comp[(g, f)]`` the name of ``g . f``."""
 
     def __init__(self, objects, morphisms, identities, comp):
-        named, hom, out, into = {}, {}, {}, {}
-        for m in morphisms:
-            named[m.name] = m
-            hom.setdefault((m.dom, m.cod), []).append(m.name)
-            out.setdefault(m.dom, []).append(m.name)
-            into.setdefault(m.cod, []).append(m.name)
-        if len(named) != len(morphisms):
+        names = [m.name for m in morphisms]
+        ids = {f: i for i, f in enumerate(names)}
+        if len(ids) != len(names):
             raise ValueError("duplicate morphism names")
-        self._fill(list(objects), named, dict(identities), dict(comp), *(
-            {k: tuple(v) for k, v in t.items()} for t in (hom, out, into)))
+        objects = list(objects)
+        known = set(objects)
+        if len(known) != len(objects):
+            raise ValueError("duplicate object names")
+        for x in identities:
+            if x not in known:
+                raise ValueError(f"identity given for unknown object {x!r}")
+        n, table = len(names), {}
+        for (g, f), h in comp.items():
+            if g not in ids or f not in ids:
+                raise ValueError(f"composite of unknown morphisms {g!r}, {f!r}")
+            table[ids[g] * n + ids[f]] = ids.get(h, -1)  # -1: unknown name
+        hom, out, into = {}, {}, {}
+        for i, m in enumerate(morphisms):
+            hom.setdefault((m.dom, m.cod), []).append(i)
+            out.setdefault(m.dom, []).append(i)
+            into.setdefault(m.cod, []).append(i)
+        self.objects, self.names, self.morphisms = objects, names, ids
+        self.doms = [m.dom for m in morphisms]
+        self.cods = [m.cod for m in morphisms]
+        self.idents = {x: ids.get(e, -1) for x, e in identities.items()}
+        self.table, self._op = table, None
+        self._hom, self._out, self._into = (
+            {k: tuple(v) for k, v in t.items()} for t in (hom, out, into))
         self.validate()
 
-    def _fill(self, objects, morphisms, identities, comp, hom, out, into):
-        """Store the tables and the arrow index of ``hom``, ``out``, ``into``."""
-        self.objects, self.morphisms = objects, morphisms
-        self.identities, self.comp = identities, comp
-        self._hom, self._out, self._into, self._op = hom, out, into, None
+    # -- queries by id ---------------------------------------------------
 
-    # -- queries ---------------------------------------------------------
+    def hom_ids(self, x, y):
+        """The ids of the morphisms ``x -> y``, in increasing order."""
+        return self._hom.get((x, y), ())
+
+    def out_ids(self, x):
+        """The ids of the morphisms out of ``x``, in increasing order."""
+        return self._out.get(x, ())
+
+    def composites(self):
+        """``(g, f, g . f)`` as ids for every composable pair, in the
+        order of the constructor's ``comp``."""
+        n = len(self.names)
+        return [(k // n, k % n, h) for k, h in self.table.items()]
+
+    # -- queries by name -------------------------------------------------
 
     def dom(self, f):
-        return self.morphisms[f].dom
+        return self.doms[self.morphisms[f]]
 
     def cod(self, f):
-        return self.morphisms[f].cod
+        return self.cods[self.morphisms[f]]
 
     def ident(self, x):
-        return self.identities[x]
+        return self.names[self.idents[x]]
 
     def is_identity(self, f):
-        return self.identities.get(self.morphisms[f].dom) == f
+        i = self.morphisms[f]
+        return self.idents[self.doms[i]] == i
 
     def compose(self, g, f):
         """Composite ``g . f`` (apply ``f`` first)."""
-        return self.comp[(g, f)]
+        ids = self.morphisms
+        return self.names[self.table[ids[g] * len(self.names) + ids[f]]]
 
     def hom(self, x, y):
         """The morphisms ``x -> y`` in the order of ``self.morphisms``."""
-        return self._hom.get((x, y), ())
+        return tuple(map(self.names.__getitem__, self._hom.get((x, y), ())))
 
     def out(self, x):
         """The morphisms out of ``x`` in the order of ``self.morphisms``."""
-        return self._out.get(x, ())
-
-    def into(self, y):
-        """The morphisms into ``y`` in the order of ``self.morphisms``."""
-        return self._into.get(y, ())
+        return tuple(map(self.names.__getitem__, self._out.get(x, ())))
 
     def morphism_names(self):
         return list(self.morphisms)
 
     def inverse(self, f):
         """The inverse of ``f``, or None if ``f`` is not an isomorphism."""
-        m = self.morphisms[f]
-        for g in self.hom(m.cod, m.dom):
-            if (self.compose(g, f) == self.ident(m.dom)
-                    and self.compose(f, g) == self.ident(m.cod)):
-                return g
+        i, n, t = self.morphisms[f], len(self.names), self.table
+        x, y = self.doms[i], self.cods[i]
+        for g in self.hom_ids(y, x):
+            if t[g * n + i] == self.idents[x] and t[i * n + g] == self.idents[y]:
+                return self.names[g]
         return None
 
     def is_iso(self, f):
@@ -122,69 +153,64 @@ class FinCategory:
     # -- construction ----------------------------------------------------
 
     def opposite(self):
-        """The dual category, built once and shared both ways.  The dual
-        refers back weakly, so the pair forms no reference cycle and is
-        freed with its last user.  It is not validated again: the dual of
-        a category is a category."""
+        """The dual category, built once and shared both ways: it shares
+        the names and the arrow ids, swaps the ends of every arrow and
+        transposes the table.  The dual refers back weakly, so the pair
+        forms no reference cycle and is freed with its last user.  It is
+        not validated again: the dual of a category is a category."""
         op = self._op() if isinstance(self._op, weakref.ref) else self._op
         if op is None:
+            n = len(self.names)
             op = FinCategory.__new__(FinCategory)
-            op._fill(list(self.objects),
-                     {m.name: Morphism(m.name, m.cod, m.dom)
-                      for m in self.morphisms.values()},
-                     dict(self.identities),
-                     {(f, g): h for (g, f), h in self.comp.items()},
-                     {(y, x): v for (x, y), v in self._hom.items()},
-                     self._into, self._out)
-            op._op, self._op = weakref.ref(self), op
+            op.__dict__ = dict(
+                vars(self), doms=self.cods, cods=self.doms,
+                table={k % n * n + k // n: h for k, h in self.table.items()},
+                _hom={(y, x): v for (x, y), v in self._hom.items()},
+                _out=self._into, _into=self._out, _op=weakref.ref(self))
+            self._op = op
         return op
 
     def validate(self):
-        objects = set(self.objects)
-        if len(objects) != len(self.objects):
-            raise ValueError("duplicate object names")
-        for x in self.identities:
-            if x not in objects:
-                raise ValueError(f"identity given for unknown object {x!r}")
-        for g, f in self.comp:
-            if g not in self.morphisms or f not in self.morphisms:
-                raise ValueError(f"composite of unknown morphisms {g!r}, {f!r}")
+        """The category laws over the ids; the constructor has rejected
+        repeated objects and identities or composites of unknown ones."""
+        names, doms, cods, t = self.names, self.doms, self.cods, self.table
+        objects, n, into = set(self.objects), len(names), self._into
         for x in self.objects:
-            e = self.identities.get(x)
-            if e is None or e not in self.morphisms:
+            e = self.idents.get(x, -1)
+            if e < 0:
                 raise ValueError(f"object {x!r} lacks an identity")
-            m = self.morphisms[e]
-            if m.dom != x or m.cod != x:
+            if doms[e] != x or cods[e] != x:
                 raise ValueError(f"identity of {x!r} is not an endomorphism")
-        for m in self.morphisms.values():
-            if m.dom not in objects or m.cod not in objects:
-                raise ValueError(f"morphism {m.name!r} has unknown endpoints")
+        for i, f in enumerate(names):
+            if doms[i] not in objects or cods[i] not in objects:
+                raise ValueError(f"morphism {f!r} has unknown endpoints")
         # composable pairs, or every pair for a g with a non-composable entry
-        clash = {g for g, f in self.comp if self.morphisms[f].cod != self.morphisms[g].dom}
-        for g in self.morphisms.values():
-            for f in self.morphisms if g.name in clash else self.into(g.dom):
-                if self.morphisms[f].cod != g.dom:
-                    if (g.name, f) in self.comp:
-                        raise ValueError(f"composite of non-composable {g.name!r}, {f!r}")
+        clash = {k // n for k in t if cods[k % n] != doms[k // n]}
+        for g in range(n):
+            for f in range(n) if g in clash else into[doms[g]]:
+                if cods[f] != doms[g]:
+                    if g * n + f in t:
+                        raise ValueError(f"composite of non-composable {names[g]!r}, {names[f]!r}")
                     continue
-                h = self.comp.get((g.name, f))
+                h = t.get(g * n + f)
                 if h is None:
-                    raise ValueError(f"missing composite {g.name!r} . {f!r}")
-                hm = self.morphisms.get(h)
-                if hm is None or hm.dom != self.morphisms[f].dom or hm.cod != g.cod:
-                    raise ValueError(f"composite {g.name!r} . {f!r} ill-typed")
-        for f in self.morphisms.values():
-            if self.compose(f.name, self.ident(f.dom)) != f.name:
-                raise ValueError(f"right unit law fails at {f.name!r}")
-            if self.compose(self.ident(f.cod), f.name) != f.name:
-                raise ValueError(f"left unit law fails at {f.name!r}")
+                    raise ValueError(f"missing composite {names[g]!r} . {names[f]!r}")
+                if h < 0 or doms[h] != doms[f] or cods[h] != cods[g]:
+                    raise ValueError(f"composite {names[g]!r} . {names[f]!r} ill-typed")
+        for f in range(n):
+            if t[f * n + self.idents[doms[f]]] != f:
+                raise ValueError(f"right unit law fails at {names[f]!r}")
+            if t[self.idents[cods[f]] * n + f] != f:
+                raise ValueError(f"left unit law fails at {names[f]!r}")
         # composable triples only, in the order of a full scan
-        for h in self.morphisms:
-            for g in self.into(self.dom(h)):
-                hg = self.compose(h, g)
-                for f in self.into(self.dom(g)):
-                    if self.compose(h, self.compose(g, f)) != self.compose(hg, f):
-                        raise ValueError(f"associativity fails at {h!r}, {g!r}, {f!r}")
+        for h in range(n):
+            hn = h * n
+            for g in into[doms[h]]:
+                gn, hgn = g * n, t[hn + g] * n
+                for f in into[doms[g]]:
+                    if t[hn + t[gn + f]] != t[hgn + f]:
+                        raise ValueError(f"associativity fails at {names[h]!r}, "
+                                         f"{names[g]!r}, {names[f]!r}")
 
     @staticmethod
     def from_poset(poset):

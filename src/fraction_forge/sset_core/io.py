@@ -129,13 +129,14 @@ def marked_sset_from_dict(d, where="<input>"):
 
 
 def cat_to_dict(C, marked=None):
+    units = set(C.idents.values())
     d = {
         "objects": list(C.objects),
-        "morphisms": [{"id": m.name, "dom": m.dom, "cod": m.cod}
-                      for m in C.morphisms.values()],
-        "identities": dict(C.identities),
-        "comp": sorted([g, f, h] for (g, f), h in C.comp.items()
-                       if not (C.is_identity(g) or C.is_identity(f))),
+        "morphisms": [{"id": f, "dom": C.dom(f), "cod": C.cod(f)}
+                      for f in C.morphisms],
+        "identities": {x: C.names[e] for x, e in C.idents.items()},
+        "comp": sorted([C.names[g], C.names[f], C.names[h]]
+                       for g, f, h in C.composites() if units.isdisjoint((g, f))),
     }
     if marked is not None:
         d["marked"] = sorted(marked)

@@ -121,10 +121,11 @@ def nerve_category(cat, bound):
     faces = {}
     cells[0] = [("v", x) for x in cat.objects]
     prev = [(f,) for f in cat.morphism_names() if not cat.is_identity(f)]
+    names = cat.names
     for d in range(1, bound + 1):
-        cur = prev if d == 1 else [chain + (f,) for chain in prev
-                                   for f in cat.out(cat.cod(chain[-1]))
-                                   if not cat.is_identity(f)]
+        cur = prev if d == 1 else [chain + (names[f],) for chain in prev
+                                   for f in cat.out_ids(cat.cod(chain[-1]))
+                                   if not cat.is_identity(names[f])]
         cells[d] = [("c",) + chain for chain in cur]
         for chain in cur:
             cell = ("c",) + chain

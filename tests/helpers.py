@@ -1,7 +1,8 @@
 """Small constructions the unit tests need and the program does not:
-isomorphism search, maps into poset nerves given on vertices, and the
-marking test for a map."""
+isomorphism search, maps into poset nerves given on vertices, the
+marking test for a map, and a finite category's tables by name."""
 
+from fraction_forge.sset_core.cat import Morphism
 from fraction_forge.sset_core.enumerate import enumerate_maps
 from fraction_forge.sset_core.nerves import _chain_image
 from fraction_forge.sset_core.sset import SMap
@@ -45,3 +46,20 @@ def smap_is_marked(f, ma, mx):
     """True if ``f`` sends every marked edge of ``ma`` to a marked edge of
     ``mx``."""
     return all(mx.is_marked(f.on_cell(c)) for c in ma.marked)
+
+
+def name_arrows(C):
+    """The morphisms of a finite category as ``Morphism``s, by id."""
+    return [Morphism(f, C.dom(f), C.cod(f)) for f in C.morphisms]
+
+
+def name_identities(C):
+    """The identities of a finite category by name, in its table order."""
+    return {x: C.names[e] for x, e in C.idents.items()}
+
+
+def name_comp(C):
+    """``{(g, f): g . f}`` by name, in the order of the composition
+    table."""
+    names = C.names
+    return {(names[g], names[f]): names[h] for g, f, h in C.composites()}

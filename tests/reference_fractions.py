@@ -8,12 +8,7 @@ deciders must also report.  The opposite category is rebuilt and
 validated from scratch, independently of ``FinCategory.opposite``.
 """
 
-from fraction_forge.marked import (
-    MarkedCategory,
-    MarkedSSet,
-    effective_marking,
-    subset_nerve,
-)
+from fraction_forge.marked import MarkedCategory, MarkedSSet, subset_nerve
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
 from fraction_forge.sset_core.enumerate import Check
 from fraction_forge.sset_core.nerves import nerve_poset
@@ -21,10 +16,16 @@ from fraction_forge.sset_core.nerves import nerve_poset
 
 def opposite(mc):
     C = mc.cat
-    morphs = [Morphism(m.name, m.cod, m.dom) for m in C.morphisms.values()]
-    comp = {(f, g): h for (g, f), h in C.comp.items()}
-    return MarkedCategory(FinCategory(C.objects, morphs, C.identities, comp),
+    morphs = [Morphism(f, C.cod(f), C.dom(f)) for f in C.morphism_names()]
+    comp = {(C.names[f], C.names[g]): C.names[h] for g, f, h in C.composites()}
+    identities = {x: C.ident(x) for x in C.objects}
+    return MarkedCategory(FinCategory(C.objects, morphs, identities, comp),
                           set(mc.marked))
+
+
+def effective_marking(mc):
+    """The names of the marked morphisms, identities included."""
+    return set(mc.marked) | {mc.cat.ident(x) for x in mc.cat.objects}
 
 
 def check_clf_classical(mc):

@@ -3,17 +3,18 @@ homs by brute force over zigzag words, composition over every
 representative and every completion, and full-scan versions of the
 fraction category, the marked coslice, the filteredness check and the
 category nerve, which find the arrows out of or into an object by
-scanning every morphism."""
+scanning every morphism; and the fraction category over arrow names,
+the oracle of the one over arrow ids."""
 
 from itertools import product
 
 from fraction_forge.fractions import check_clf_classical
-from fraction_forge.marked import effective_marking
 from fraction_forge.sset_core.cat import FinCategory, Morphism
 from fraction_forge.sset_core.enumerate import Check
 from fraction_forge.sset_core.nerves import normalize_chain
 from fraction_forge.sset_core.sset import SSet
 from fraction_forge.sset_core.unionfind import UnionFind
+from reference_fractions import effective_marking
 
 
 def zigzag_oracle(mc, x, y, max_len=6):
@@ -206,6 +207,99 @@ def gz_left_fractions(mc):
         for a in all_classes:
             if a[2] == b[1]:
                 comp[(b, a)] = compose_cls(b, a)
+    cat = FinCategory(C.objects, morphs, idents, comp)
+
+    info = {
+        "cls": lambda f, w: cls_name[(f, w)],
+        "canonical": lambda f: cls_name[(f, C.ident(C.cod(f)))],
+        "rep": rep,
+    }
+    return cat, info
+
+
+# -- the fraction category over names -----------------------------------
+
+
+def marked_tables_by_name(mc):
+    """The marked arrows W (identities included), sorted, and the sorted
+    lists of those out of and into each object."""
+    C = mc.cat
+    W = effective_marking(mc)
+    ordered = sorted(W)
+    out = {x: [] for x in C.objects}
+    into = {x: [] for x in C.objects}
+    for w in ordered:
+        out[C.dom(w)].append(w)
+        into[C.cod(w)].append(w)
+    return W, ordered, out, into
+
+
+def completion_by_name(C, f, w, out, among=None):
+    """The first square (f', w') completing the span (f, w), with
+    f'.w = w'.f, w' in the marked arrows ``out`` of the codomain of f
+    and f' in ``among`` if given; None if there is none."""
+    for wp in out[C.cod(f)]:
+        target = C.compose(wp, f)
+        for fp in C.hom(C.cod(w), C.cod(wp)):
+            if C.compose(fp, w) == target and (among is None or fp in among):
+                return fp, wp
+    return None
+
+
+def gz_left_fractions_by_name(mc):
+    """Category of left fractions C W^{-1} with its canonical functor.
+
+    Returns ``(cat, info)``; ``info`` has ``cls`` mapping a cospan
+    ``(f, w)`` to its class name, ``canonical`` mapping a morphism of C
+    to the class of ``(f, id)``, and ``rep`` mapping a class to its
+    first cospan.  Requires classical CLF.
+    """
+    res = check_clf_classical(mc)
+    if not res.ok:
+        raise ValueError(f"left fractions need CLF; witness {res.witness}")
+    C = mc.cat
+    W, _, out, into = marked_tables_by_name(mc)
+    cospans = {(x, y): [] for x in C.objects for y in C.objects}
+    for f in sorted(C.morphism_names()):
+        for w in into[C.cod(f)]:
+            cospans[(C.dom(f), C.dom(w))].append((f, w))
+
+    uf = UnionFind()
+    for cs in cospans.values():
+        for c in cs:
+            uf.add(c)
+    for cs in cospans.values():
+        for f, w in cs:
+            for p in C.out(C.cod(f)):
+                pw = C.compose(p, w)
+                if pw in W:
+                    uf.union((f, w), (C.compose(p, f), pw))
+
+    cls_name = {}
+    rep = {}
+    for (x, y), cs in cospans.items():
+        seen = {}
+        for c in cs:
+            r = uf.find(c)
+            if r not in seen:
+                seen[r] = ("gz", x, y, len(seen))
+                rep[seen[r]] = c
+            cls_name[c] = seen[r]
+
+    def compose_cls(b, a):
+        """Composite of class b: y -> z after class a: x -> y."""
+        (f, w), (g, v) = rep[a], rep[b]
+        u, s = completion_by_name(C, g, w, out)
+        return cls_name[(C.compose(u, f), C.compose(s, v))]
+
+    all_classes = sorted(rep)
+    morphs = [Morphism(c, c[1], c[2]) for c in all_classes]
+    idents = {x: cls_name[(C.ident(x), C.ident(x))] for x in C.objects}
+    ending = {y: [] for y in C.objects}
+    for a in all_classes:
+        ending[a[2]].append(a)
+    comp = {(b, a): compose_cls(b, a)
+            for b in all_classes for a in ending[b[1]]}
     cat = FinCategory(C.objects, morphs, idents, comp)
 
     info = {

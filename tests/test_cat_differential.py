@@ -2,7 +2,8 @@
 pairs and triples, against the full scans of ``tests/reference_cat.py``.
 
 On the corpus categories, on the generators of
-``tests/test_fraction_properties.py`` and on every single-fault mutation
+``tests/test_fraction_properties.py``, on the subsets of a 5-set and on
+every single-fault mutation
 of them (a dropped composite, an ill-typed composite, a composite of a
 non-composable pair, a broken unit law, a broken associativity), both
 constructors accept or reject alike, with the same message, and so they
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from fraction_forge.cli import corpus_path
 from fraction_forge.sset_core import io as ffio
 from fraction_forge.sset_core.cat import FinCategory, Poset
+from helpers import name_arrows, name_comp, name_identities
 from reference_cat import FullScanCategory
 from test_fraction_properties import (
     DECIDER_CATS,
@@ -28,6 +30,7 @@ from test_fraction_properties import (
     UNSORTED_HOMS,
     cyclic,
     posets,
+    subset_lattice,
     truncated_n,
 )
 
@@ -48,51 +51,56 @@ def outcome(build, objects, morphisms, identities, comp):
 def mutations(C):
     """Single-fault edits of a category's composition table, by kind:
     ``{kind: [comp, ...]}``."""
-    comp, morphs = C.comp, list(C.morphisms.values())
-    ids = set(C.identities.values())
+    table, morphs = name_comp(C), name_arrows(C)
+    ids = set(name_identities(C).values())
     out = {kind: [] for kind in KINDS}
-    for (g, f), h in comp.items():
+    for (g, f), h in table.items():
         out["missing composite"].append(
-            {k: v for k, v in comp.items() if k != (g, f)})
+            {k: v for k, v in table.items() if k != (g, f)})
         parallel = C.hom(C.dom(f), C.cod(g))
         wrong = next((m.name for m in morphs if m.name not in parallel), None)
         if wrong is not None:
-            out["ill-typed"].append({**comp, (g, f): wrong})
+            out["ill-typed"].append({**table, (g, f): wrong})
         for p in parallel:
             if p == h:
                 continue
             if f in ids or g in ids:
-                out["unit law"].append({**comp, (g, f): p})
+                out["unit law"].append({**table, (g, f): p})
             else:
-                out["associativity"].append({**comp, (g, f): p})
+                out["associativity"].append({**table, (g, f): p})
     for g, f in product(morphs, repeat=2):
         if f.cod != g.dom:
             out["non-composable"].append(
-                {**comp, (g.name, f.name): morphs[0].name})
+                {**table, (g.name, f.name): morphs[0].name})
     return out
 
 
 def assert_same_verdicts(C, comps):
-    data = (C.objects, list(C.morphisms.values()), C.identities)
+    data = (C.objects, name_arrows(C), name_identities(C))
     messages = []
-    for comp in comps:
-        got = outcome(FinCategory, *data, comp)
-        assert got == outcome(FullScanCategory, *data, comp)
+    for table in comps:
+        got = outcome(FinCategory, *data, table)
+        assert got == outcome(FullScanCategory, *data, table)
         messages.append(got)
     return messages
 
 
 def assert_index_matches_a_scan(C):
     for D in (C, C.opposite()):
-        ref = FullScanCategory(D.objects, list(D.morphisms.values()),
-                               D.identities, D.comp)
-        arrows = list(D.morphisms.values())
+        ref = FullScanCategory(D.objects, name_arrows(D), name_identities(D), name_comp(D))
+        ms = name_arrows(D)
         for x in D.objects:
-            assert D.out(x) == tuple(m.name for m in arrows if m.dom == x)
-            assert D.into(x) == tuple(m.name for m in arrows if m.cod == x)
+            assert D.out(x) == tuple(m.name for m in ms if m.dom == x)
+            assert D.out_ids(x) == tuple(
+                i for i, m in enumerate(ms) if m.dom == x)
+            # the arrows into x are those out of x in the dual
+            assert D.opposite().out_ids(x) == tuple(
+                i for i, m in enumerate(ms) if m.cod == x)
             for y in D.objects:
                 assert D.hom(x, y) == ref.hom(x, y) == tuple(
-                    m.name for m in arrows if (m.dom, m.cod) == (x, y))
+                    m.name for m in ms if (m.dom, m.cod) == (x, y))
+                assert D.hom_ids(x, y) == tuple(
+                    i for i, m in enumerate(ms) if (m.dom, m.cod) == (x, y))
 
 
 FIXED = [cyclic(3), truncated_n(2), PROPERNESS_FAILS.cat, UNSORTED_HOMS.cat]
@@ -128,14 +136,14 @@ def test_two_faults_give_the_full_scans_message():
     for C in FIXED:
         x, first = C.objects[0], next(iter(C.morphisms))
         singles = [c for comps in mutations(C).values() for c in comps[:4]]
-        no_id = {k: v for k, v in C.identities.items() if k != x}
-        inputs = [(C.identities, {**c, ("ghost", first): first})
-                  for c in singles]
+        ids = name_identities(C)
+        no_id = {k: v for k, v in ids.items() if k != x}
+        inputs = [(ids, {**c, ("ghost", first): first}) for c in singles]
         inputs += [(no_id, c) for c in singles]
-        inputs += [(C.identities, with_both(C.comp, a, b))
+        inputs += [(ids, with_both(name_comp(C), a, b))
                    for a in singles for b in singles if a is not b]
-        for identities, comp in inputs:
-            data = (C.objects, list(C.morphisms.values()), identities, comp)
+        for idents, table in inputs:
+            data = (C.objects, name_arrows(C), idents, table)
             got = outcome(FinCategory, *data)
             assert got == outcome(FullScanCategory, *data), comp
             messages.add(got.split(" ")[0] if got else got)
@@ -146,7 +154,7 @@ def test_two_faults_give_the_full_scans_message():
 def test_index_and_validate_match_the_full_scans_on_the_corpus(name):
     C = ffio.load(corpus_path() / "cats" / f"{name}.json", "cat")
     assert_index_matches_a_scan(C)
-    assert assert_same_verdicts(C, [C.comp]) == [None]
+    assert assert_same_verdicts(C, [name_comp(C)]) == [None]
     for comps in mutations(C).values():
         assert_same_verdicts(C, comps)
 
@@ -156,18 +164,24 @@ def test_index_and_validate_match_the_full_scans_on_the_corpus(name):
 def test_index_and_validate_match_the_full_scans_on_generated_categories(
         C, data):
     assert_index_matches_a_scan(C)
-    assert assert_same_verdicts(C, [C.comp]) == [None]
+    assert assert_same_verdicts(C, [name_comp(C)]) == [None]
     for kind, comps in mutations(C).items():
         if comps:
             assert_same_verdicts(C, [data.draw(st.sampled_from(comps), kind)])
 
 
+def test_index_and_validate_match_the_full_scans_on_the_subset_lattice():
+    C = subset_lattice(5).cat
+    assert_index_matches_a_scan(C)
+    assert assert_same_verdicts(C, [name_comp(C)]) == [None]
+
+
 @settings(max_examples=100, **SETTINGS)
 @given(posets(5))
 def test_from_poset_matches_the_full_scan(C):
-    P = Poset(C.objects, [(m.dom, m.cod) for m in C.morphisms.values()])
+    P = Poset(C.objects, [(m.dom, m.cod) for m in name_arrows(C)])
     got, want = FinCategory.from_poset(P), FullScanCategory.from_poset(P)
     assert got.objects == want.objects
-    assert list(got.morphisms.values()) == list(want.morphisms.values())
-    assert got.identities == want.identities
-    assert list(got.comp.items()) == list(want.comp.items())
+    assert name_arrows(got) == list(want.morphisms.values())
+    assert name_identities(got) == want.identities
+    assert list(name_comp(got).items()) == list(want.comp.items())

@@ -1,5 +1,6 @@
 import pytest
 
+from fraction_forge import exfunctor
 from fraction_forge.exfunctor import (
     Sd_plus,
     compare_with_kan_ex,
@@ -181,6 +182,26 @@ def test_compare_with_kan_ex():
     X = standard_simplex(1, bound=2)
     kan_level1 = ex_plus(maximal_marking(X), levels=1)
     assert len(kan_level1.levels[1]) == 5
+
+
+@pytest.mark.parametrize("d, i", [(0, 0), (1, 0), (1, 1)])
+def test_compare_with_kan_ex_reads_every_degeneracy_table(monkeypatch, d, i):
+    """A marked Ex with its levels and face tables intact and one
+    degeneracy table rotated differs from the classical Ex there."""
+    real = exfunctor.ex_plus
+
+    def scrambled(mx, levels=2):
+        cache = real(mx, levels=levels)
+        tbl = cache.degen_tbl[(d, i)]
+        images = list(tbl.values())
+        assert len(set(images)) > 1
+        cache.degen_tbl[(d, i)] = dict(zip(tbl, images[1:] + images[:1]))
+        return cache
+
+    monkeypatch.setattr(exfunctor, "ex_plus", scrambled)
+    res = compare_with_kan_ex(standard_simplex(1, bound=2))
+    assert not res.ok
+    assert res.witness == {"level": d, "op": ("degeneracy", i)}
 
 
 def test_max_homotopy_equivalence():

@@ -5,7 +5,9 @@ coslices, filteredness verdicts and nerves against the full scans of
 ``tests/reference_localize.py`` on generated categories; and the
 equivalence theorem (1-categorical proper CLF/CRF ⇔ nerve CLF/CRF) and
 the survival of finite colimits and limits under localization on
-generated categories.
+generated categories.  The fraction categories over arrow ids are also
+checked against the ones over names, and everything against the oracles
+on the subsets of a 5-set (243 arrows).
 
 Generated categories are posets of up to 4 elements, the cyclic groups
 ℤ/n and the truncated monoids ℕ/(n = n+1) for n ≤ 4, and products of
@@ -41,6 +43,7 @@ from fraction_forge.marked import MarkedCategory, nerve_marked, opposite_marked
 from fraction_forge.sset_core import io as ffio
 from fraction_forge.sset_core.cat import FinCategory, Morphism, Poset
 from fraction_forge.sset_core.nerves import nerve_category
+from helpers import name_arrows, name_comp, name_identities
 from test_acceptance import probe_colimits
 
 DECIDERS = [(check_clf_classical, ref.check_clf_classical),
@@ -96,9 +99,9 @@ def product_cat(C, D):
         return f"({f},{g})"
 
     morphs = [Morphism(mor(f.name, g.name), obj(f.dom, g.dom), obj(f.cod, g.cod))
-              for f in C.morphisms.values() for g in D.morphisms.values()]
+              for f in name_arrows(C) for g in name_arrows(D)]
     comp = {(mor(f2, g2), mor(f1, g1)): mor(C.compose(f2, f1), D.compose(g2, g1))
-            for (f2, f1) in C.comp for (g2, g1) in D.comp}
+            for (f2, f1) in name_comp(C) for (g2, g1) in name_comp(D)}
     return FinCategory([obj(x, y) for x in C.objects for y in D.objects], morphs,
                        {obj(x, y): mor(C.ident(x), D.ident(y))
                         for x in C.objects for y in D.objects}, comp)
@@ -160,6 +163,17 @@ SETTINGS = dict(derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
+def subset_lattice(k):
+    """The subsets of a k-set under inclusion, every non-identity arrow
+    marked: 3^k arrows, named like ``"x0<=x01"``."""
+    elems = ["x" + "".join(c) for r in range(k + 1)
+             for c in combinations("0123456789"[:k], r)]
+    C = FinCategory.from_poset(Poset.from_leq(
+        elems, lambda a, b: set(a[1:]) <= set(b[1:])))
+    return MarkedCategory(C, {f for f in C.morphism_names()
+                              if not C.is_identity(f)})
+
+
 @settings(max_examples=300, **SETTINGS)
 @given(marked_categories(DECIDER_CATS))
 @example(PROPERNESS_FAILS)
@@ -174,9 +188,42 @@ def test_deciders_match_the_oracle_on_generated_categories(mc):
 
 def same_category(got, want):
     assert got.objects == want.objects
-    assert list(got.morphisms.values()) == list(want.morphisms.values())
-    assert got.identities == want.identities
-    assert list(got.comp.items()) == list(want.comp.items())
+    assert name_arrows(got) == name_arrows(want)
+    assert name_identities(got) == name_identities(want)
+    assert list(name_comp(got).items()) == list(name_comp(want).items())
+
+
+def assert_gz_matches_by_name(mc):
+    """Left fractions over arrow ids, of a marked category and of its
+    dual, against those over names: the same arrows, identities and
+    composition, the same ``rep``, class of every cospan and canonical
+    image."""
+    for side in (mc, mc.opposite()):
+        if not check_clf_classical(side).ok:
+            continue
+        (cat, info), (want, want_info) = (
+            gz_left_fractions(side), ref_localize.gz_left_fractions_by_name(side))
+        same_category(cat, want)
+        assert info["rep"] == want_info["rep"]
+        C, W = side.cat, ref.effective_marking(side)
+        for f in C.morphism_names():
+            assert info["canonical"](f) == want_info["canonical"](f)
+            for w in W:
+                if C.cod(w) == C.cod(f):
+                    assert info["cls"](f, w) == want_info["cls"](f, w)
+
+
+@pytest.mark.parametrize("name", CORPUS_CATS)
+def test_fractions_over_ids_match_those_over_names_on_the_corpus(name):
+    assert_gz_matches_by_name(MarkedCategory(*ffio.load(
+        corpus_path() / "cats" / f"{name}.json", "marked_cat")))
+
+
+def test_the_subset_lattice_matches_the_oracles():
+    mc = subset_lattice(5)
+    assert len(mc.cat.names) == 243
+    assert_deciders_match(mc)
+    assert_gz_matches_by_name(mc)
 
 
 @settings(max_examples=200, **SETTINGS)
@@ -185,6 +232,7 @@ def same_category(got, want):
 @example(UNSORTED_HOMS)
 def test_localize_constructions_match_the_full_scans(mc):
     C = mc.cat
+    assert_gz_matches_by_name(mc)
     # left fractions of the category and of its dual (right fractions)
     for side in (mc, mc.opposite()):
         if check_clf_classical(side).ok:
